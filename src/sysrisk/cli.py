@@ -47,7 +47,7 @@ from .core import (
     Sum,
     WorstCase,
 )
-from .finite_alloc import pair_partitions, solve_grouped
+from .finite_alloc import solve_grouped
 from .gaussian_det import optimal_deterministic
 from .gaussian_scen import solve_two_state
 from .ou_network import NetworkModel, heterogeneous_covariance, simulate_paths

@@ -27,8 +27,6 @@ import numpy as np
 PROB_TOL = 1e-12          # scenario probabilities must sum to 1 within this
 SYM_TOL = 1e-12           # symmetry check for covariance matrices
 PSD_TOL = 1e-10           # smallest admissible eigenvalue shift for covariances
-CLEARING_TOL = 1e-12      # fixed-point iteration stopping rule
-CLEARING_MAX_ITER = 100_000
 ACCEPT_TOL = 1e-9         # slack when checking acceptability of an outcome
 CONSTANT_SUM_TOL = 1e-9   # scenario-total constancy of admissible allocations
 
@@ -223,10 +221,12 @@ class EisenbergNoe:
     """Aggregation through an interbank clearing network.
 
     pi[i, k] is the share of institution i's nominal obligations owed to k;
-    rows sum to at most 1 and the spectral radius must be < 1 so that the
-    clearing problem is contracting.  The aggregated outcome of a scenario is
-    minus the total cleared loss of the system when the scenario's losses
-    (-x) are pushed through the network, which makes the map increasing in x.
+    rows sum to at most 1 and the spectral radius must be < 1 so that every
+    principal block of I - pi is invertible with a nonnegative inverse, and
+    the clearing problem has a unique least solution.  The aggregated outcome
+    of a scenario is minus the total cleared loss of the system when the
+    scenario's losses (-x) are pushed through the network, which makes the
+    map increasing in x.  All scenarios are cleared in one batched call.
     """
 
     pi: np.ndarray
@@ -244,51 +244,65 @@ class EisenbergNoe:
         self.pi = p
 
     def per_scenario(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape[1])
-        for j in range(x.shape[1]):
-            out[j] = -clearing_vector(self.pi, -x[:, j]).sum()
-        return out
+        return -clearing_vector(self.pi, -x).sum(axis=0)
 
 
 Aggregation = Sum | ShortfallSum | ExponentialLoss | GainLossWeighted | EisenbergNoe
 
 
-def spectral_radius(a: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000) -> float:
-    """Largest |eigenvalue| of a nonnegative matrix, by power iteration."""
-    n = a.shape[0]
-    # strictly positive start vector; for nonnegative a the iteration converges
-    # to the Perron root
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = a @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        w /= norm
-        lam_new = float(w @ (a @ w))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return abs(lam_new)
-        lam, v = lam_new, w
-    return abs(lam)
+def spectral_radius(a: np.ndarray) -> float:
+    """Largest |eigenvalue| of a square matrix (0 for an empty one)."""
+    return float(np.max(np.abs(np.linalg.eigvals(a)), initial=0.0))
+
+
+_CLEARING_BATCH = 256   # scenario columns per batched solve; bounds the N x N x batch stack
 
 
 def clearing_vector(pi: np.ndarray, x) -> np.ndarray:
-    """Least nonnegative solution of y = (x + pi @ y)^+.
+    """Least nonnegative solution of y = (x + pi @ y)^+, exactly.
 
-    x holds the institutions' net outside losses (positive = owes money).
-    Monotone Picard iteration from 0: the map is isotone and, for spectral
-    radius < 1, contracting, so the iterates increase to the least fixed point.
+    x holds the institutions' net outside losses (positive = owes money), as
+    an N-vector or as an N x M matrix of M scenarios cleared independently;
+    y has the shape of x.  pi must be nonnegative with spectral radius < 1.
+
+    Fictitious default (Eisenberg & Noe 2001): start from the defaulting set
+    A = {x > 0}, solve (I - pi_AA) y_A = x_A with y = 0 off A, and add every
+    institution whose pressure x + pi @ y is then positive.  Because
+    (I - pi_AA)^-1 >= 0, each round's y lies below the least solution and
+    above the previous round's, so A only grows and the least solution is
+    reached after at most N + 1 solves.  Each round solves all unsettled
+    scenarios at once, in batches of at most _CLEARING_BATCH columns.
     """
     pi = np.asarray(pi, dtype=float)
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError("x must be an N-vector or an N x M matrix")
+    if np.any(pi < 0.0) or spectral_radius(pi) >= 1.0:
+        raise ValueError("clearing needs a nonnegative pi with spectral radius < 1")
+    cols = x.reshape(x.shape[0], -1)
+    y = np.zeros_like(cols)
+    for start in range(0, cols.shape[1], _CLEARING_BATCH):
+        block = slice(start, start + _CLEARING_BATCH)
+        y[:, block] = _clear_block(pi, cols[:, block])
+    return np.maximum(y, 0.0).reshape(x.shape)
+
+
+def _clear_block(pi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Active-set rounds of clearing_vector for an N x C block of scenarios."""
+    active = x > 0.0
     y = np.zeros_like(x)
-    for _ in range(CLEARING_MAX_ITER):
-        y_next = np.maximum(x + pi @ y, 0.0)
-        if np.max(np.abs(y_next - y)) <= CLEARING_TOL:
-            return y_next
-        y = y_next
-    raise ConvergenceError("clearing iteration did not converge")
+    todo = np.flatnonzero(active.any(axis=0))
+    eye = np.eye(pi.shape[0])
+    while todo.size:
+        a = active[:, todo].T                          # C' x N defaulting sets
+        # rows and columns outside A become identity rows, so y = 0 there
+        mats = eye - pi * (a[:, :, None] & a[:, None, :])
+        rhs = np.where(a, x[:, todo].T, 0.0)[:, :, None]
+        y[:, todo] = np.linalg.solve(mats, rhs)[:, :, 0].T
+        grown = ~active[:, todo] & (x[:, todo] + pi @ y[:, todo] > 0.0)
+        active[:, todo] |= grown
+        todo = todo[grown.any(axis=0)]
+    return y
 
 
 def aggregate(lam: Aggregation, x) -> float:

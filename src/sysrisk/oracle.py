@@ -63,9 +63,6 @@ NESTED_MAX_ITER = 200
 PENALTY_WEIGHTS = tuple(10.0**k for k in range(1, 9))
 KKT_TOL = 1e-6
 
-# committed seed catalog for reproducible randomized audits
-FIXED_INSTANCE_SEEDS: tuple[int, ...] = tuple(range(1000, 1100))
-
 
 # ---------------------------------------------------------------------------
 # allocation classes and their parameterizations

@@ -16,7 +16,8 @@ validation:
                                   counterparty (exact 4-dim linear ODE and its
                                   O(1/N) expansion),
 * ``heterogeneous_covariance`` -- arbitrary symmetric lending rates
-                                  (Lyapunov ODE, RK4).
+                                  (Lyapunov ODE solved in the Laplacian's
+                                  eigenbasis).
 
 ``three_bank_example`` builds the 2x2 Gaussian system of a hub-and-pair
 network used to compare deterministic and scenario-dependent capital.
@@ -30,10 +31,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import GaussianSystem, _as_float_array
-
-RK4_STEPS = 10_000
-PSD_RETRIES = 3
-PSD_TOL = 1e-10
 
 
 @dataclass(eq=False)
@@ -187,68 +184,29 @@ def central_clearing_moments(
     )
 
 
-def central_clearing_moments_rk4(p, sigma, sigma_c, rho, rho_c, n, t, steps=RK4_STEPS):
-    """RK4 cross-check of the augmented-exponential solve (same A, B)."""
-    a = np.array(
-        [
-            [-2.0, 0.0, 2.0, 0.0],
-            [0.0, -2.0 * (n - 1), 2.0 * (n - 1), 0.0],
-            [1.0, 1.0, -float(n), float(n - 2)],
-            [0.0, 0.0, 2.0, -2.0],
-        ]
-    )
-    b = np.array([sigma**2, sigma_c**2, sigma * sigma_c * rho * rho_c, sigma**2 * rho**2])
-    y = np.zeros(4)
-    h = t / steps
-
-    def rhs(v):
-        return p * (a @ v) + b
-
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
 def heterogeneous_covariance(model: NetworkModel, t: float) -> GaussianSystem:
     """Mean and covariance of X(t) for arbitrary symmetric lending rates.
 
-    Solves the Lyapunov ODE  Q' = -L Q - Q L^T + S  (S the instantaneous noise
-    covariance, L the graph Laplacian) and  mu' = -L mu  with classical RK4 at
-    fixed step t/10000.  The result is symmetrized and checked for positive
-    semidefiniteness; on failure the step count doubles, up to 3 retries.
+    Solves the Lyapunov ODE  Q' = -L Q - Q L + S  (S the instantaneous noise
+    covariance, L the symmetric graph Laplacian) and  mu' = -L mu  exactly in
+    the eigenbasis L = V diag(lam) V':
+
+        Q(t)  = V ((V' S V) o K) V',   K_ab = (1 - e^{-(lam_a + lam_b) t}) / (lam_a + lam_b),
+        mu(t) = V e^{-lam t} V' x0,
+
+    with K_ab = t where lam_a + lam_b = 0 (the conserved directions, such as
+    the total of each connected component).  GaussianSystem checks that the
+    result is positive semidefinite.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    lap = model.laplacian()
-    noise = model.noise_covariance()
-    steps = RK4_STEPS
-    for _ in range(PSD_RETRIES + 1):
-        q = np.zeros_like(noise)
-        mu = model.x0.copy()
-        h = t / steps
-
-        def q_rhs(qm):
-            return -lap @ qm - qm @ lap.T + noise
-
-        def mu_rhs(m):
-            return -lap @ m
-
-        for _ in range(steps):
-            k1, l1 = q_rhs(q), mu_rhs(mu)
-            k2, l2 = q_rhs(q + 0.5 * h * k1), mu_rhs(mu + 0.5 * h * l1)
-            k3, l3 = q_rhs(q + 0.5 * h * k2), mu_rhs(mu + 0.5 * h * l2)
-            k4, l4 = q_rhs(q + h * k3), mu_rhs(mu + h * l3)
-            q = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            mu = mu + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        q = 0.5 * (q + q.T)
-        if float(np.linalg.eigvalsh(q).min()) >= -PSD_TOL:
-            return GaussianSystem(mu=mu, cov=q)
-        steps *= 2
-    raise ValueError("covariance integration produced a non-PSD matrix")
+    lam, vecs = np.linalg.eigh(model.laplacian())
+    rate = lam[:, None] + lam[None, :]
+    still = rate == 0.0
+    relax = np.where(still, t, -np.expm1(-rate * t) / np.where(still, 1.0, rate))
+    q = vecs @ ((vecs.T @ model.noise_covariance() @ vecs) * relax) @ vecs.T
+    mu = vecs @ (np.exp(-lam * t) * (vecs.T @ model.x0))
+    return GaussianSystem(mu=mu, cov=0.5 * (q + q.T))
 
 
 @dataclass(eq=False)

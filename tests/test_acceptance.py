@@ -50,6 +50,7 @@ from sysrisk.ou_network import (
     homogeneous_variance,
     simulate_paths,
 )
+from clearing_reference import active_set_clearing
 from two_state_reference import psi_reference, two_bank_optimum
 
 GAMMA, TRIGGER = 0.7, 2.0
@@ -513,25 +514,6 @@ def test_criterion_9_tail_criterion_equals_worst_case_on_loss_outcomes():
 # criterion 10: clearing fixed point vs an independent active-set solve
 
 
-def _active_set_clearing(pi, x, max_rounds=64):
-    """Direct solve of y = (x + pi y)^+ by active-set pivoting."""
-    n = len(x)
-    active = x > 0.0
-    for _ in range(max_rounds):
-        y = np.zeros(n)
-        idx = np.flatnonzero(active)
-        if idx.size:
-            a = np.eye(idx.size) - pi[np.ix_(idx, idx)]
-            y[idx] = np.linalg.solve(a, x[idx])
-        pressure = x + pi @ y
-        grown = (~active) & (pressure > 1e-14)
-        shrunk = active & (y < -1e-14)
-        if not grown.any() and not shrunk.any():
-            return np.maximum(y, 0.0)
-        active = (active | grown) & ~shrunk
-    raise RuntimeError("active-set clearing did not settle")
-
-
 def test_criterion_10_clearing_picard_vs_active_set():
     rng = np.random.default_rng(12)
     for _ in range(100):
@@ -541,9 +523,9 @@ def test_criterion_10_clearing_picard_vs_active_set():
         rows = pi.sum(axis=1)
         pi *= rng.uniform(0.3, 0.95) / max(rows.max(), 1e-12)
         x = rng.uniform(-10.0, 10.0, size=n)
-        picard = clearing_vector(pi, x)
-        direct = _active_set_clearing(pi, x)
-        assert float(np.abs(picard - direct).max()) <= 1e-10
+        y = clearing_vector(pi, x)
+        direct = active_set_clearing(pi, x)
+        assert float(np.abs(y - direct).max()) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from sysrisk.core import (
     rank_by_expected_allocation,
     spectral_radius,
 )
+from clearing_reference import active_set_clearing
 
 
 class TestScenarioSpace:
@@ -177,10 +178,43 @@ class TestClearingVector:
         y_hi = clearing_vector(pi, x + np.array([0.5, 0.0, 0.0]))
         assert dominates(y_hi, y_lo)
 
+    def test_batched_scenarios_match_single_columns_and_reference(self):
+        rng = np.random.default_rng(31)
+        for n, m in [(2, 7), (5, 300), (9, 600)]:
+            pi = rng.uniform(0.0, 1.0, (n, n))
+            np.fill_diagonal(pi, 0.0)
+            pi *= rng.uniform(0.5, 0.99, (n, 1)) / pi.sum(axis=1, keepdims=True)
+            x = rng.normal(0.0, 2.0, (n, m))
+            y = clearing_vector(pi, x)
+            assert y.shape == x.shape
+            for j in range(m):
+                np.testing.assert_allclose(y[:, j], clearing_vector(pi, x[:, j]),
+                                           rtol=1e-14, atol=1e-14)
+                np.testing.assert_allclose(y[:, j], active_set_clearing(pi, x[:, j]),
+                                           rtol=1e-12, atol=1e-12)
+
+    def test_exact_near_unit_spectral_radius(self):
+        # y1 = 1 + r y2, y2 = r y1  =>  y1 = 1 / (1 - r^2); a Picard iteration
+        # stopped on its step size fails to reach this within 100,000 steps
+        r = 0.9999
+        pi = np.array([[0.0, r], [r, 0.0]])
+        y = clearing_vector(pi, np.array([1.0, 0.0]))
+        np.testing.assert_allclose(y, [1.0 / (1.0 - r**2), r / (1.0 - r**2)], rtol=1e-12)
+
+    def test_rejects_unit_spectral_radius(self):
+        with pytest.raises(ValueError, match="spectral radius"):
+            clearing_vector(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
+
 
 def test_spectral_radius_of_known_matrix():
     a = np.array([[0.0, 0.5], [0.5, 0.0]])
     assert spectral_radius(a) == pytest.approx(0.5, abs=1e-7)
+
+
+def test_spectral_radius_of_periodic_matrix():
+    # a power iteration's Rayleigh quotient oscillates here and reads 0.745
+    a = np.array([[0.0, 0.99], [0.5, 0.0]])
+    assert spectral_radius(a) == pytest.approx(np.sqrt(0.99 * 0.5), rel=1e-12)
 
 
 def test_eisenberg_noe_rejects_super_stochastic_rows():

@@ -1,17 +1,18 @@
 """Ornstein-Uhlenbeck lending-network moments: closed forms, the exact
-matrix-exponential route, large-N series, and the path simulator."""
+eigenbasis and matrix-exponential routes against independent references,
+large-N series, and the path simulator."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from sysrisk.core import GaussianSystem
 from sysrisk.ou_network import (
     CentralClearingMoments,
     NetworkModel,
     central_clearing_moments,
-    central_clearing_moments_rk4,
     heterogeneous_covariance,
     homogeneous_variance,
     simulate_paths,
@@ -74,6 +75,51 @@ def test_homogeneous_matches_general_solver():
         assert np.ptp(off) <= 1e-12
 
 
+def _van_loan_moments(model, t):
+    """Mean and covariance by Van Loan's augmented exponential (1978).
+
+    vec Q obeys the linear ODE  vec Q' = -(L (+) L) vec Q + vec S  with
+    L (+) L = L x I + I x L, so Q(t) is the top-right block of
+    expm([[-(L (+) L), vec S], [0, 0]] t).  This shares nothing with the
+    eigenbasis solve but the model's Laplacian and noise covariance.
+    """
+    lap, noise, n = model.laplacian(), model.noise_covariance(), model.n
+    aug = np.zeros((n * n + 1, n * n + 1))
+    aug[:-1, :-1] = -(np.kron(lap, np.eye(n)) + np.kron(np.eye(n), lap))
+    aug[:-1, -1] = noise.ravel()
+    cov = expm(aug * t)[:-1, -1].reshape(n, n)
+    return expm(-lap * t) @ model.x0, cov
+
+
+def _network(rng, kind):
+    n = 7 if kind == "disconnected" else int(rng.integers(2, 9))
+    rates = np.zeros((n, n))
+    if kind == "random":
+        mask = np.triu(rng.uniform(size=(n, n)) < 0.5, 1)
+        rates = np.where(mask, rng.uniform(0.05, 2.0, (n, n)), 0.0)
+        rates = rates + rates.T
+    elif kind == "disconnected":
+        # two triangles and an isolated bank: three zero Laplacian eigenvalues
+        for block in (slice(0, 3), slice(3, 6)):
+            rates[block, block] = rng.uniform(0.1, 1.5)
+        np.fill_diagonal(rates, 0.0)
+    return NetworkModel(rates, rng.uniform(0.5, 1.5, n), rng.uniform(-0.95, 0.95, n),
+                        rng.normal(0.0, 1.0, n))
+
+
+@pytest.mark.parametrize("kind", ["random", "disconnected", "zero-rate"])
+def test_heterogeneous_matches_van_loan_reference(kind):
+    rng = np.random.default_rng(17)
+    for t in (0.3, 1.0, 2.5):
+        model = _network(rng, kind)
+        got = heterogeneous_covariance(model, t)
+        mu, cov = _van_loan_moments(model, t)
+        np.testing.assert_allclose(got.cov, cov, rtol=0, atol=1e-12 * np.abs(cov).max())
+        np.testing.assert_allclose(got.mu, mu, rtol=0, atol=1e-12 * max(1.0, np.abs(mu).max()))
+        # lending only redistributes: the total position is conserved
+        assert got.mu.sum() == pytest.approx(model.x0.sum(), abs=1e-12)
+
+
 def test_heterogeneous_zero_rate_covariance():
     # without lending, cov(t) is just the correlated diffusion: the shared
     # factor contributes rho_i rho_j, the rest stays on the diagonal
@@ -111,10 +157,36 @@ def test_central_clearing_frozen_values():
     assert m.center_var_series == pytest.approx(0.217630769231, abs=1e-10)
 
 
+def _central_clearing_moments_rk4(p, sigma, sigma_c, rho, rho_c, n, t, steps=10_000):
+    """RK4 cross-check of the augmented-exponential solve (same A, B)."""
+    a = np.array(
+        [
+            [-2.0, 0.0, 2.0, 0.0],
+            [0.0, -2.0 * (n - 1), 2.0 * (n - 1), 0.0],
+            [1.0, 1.0, -float(n), float(n - 2)],
+            [0.0, 0.0, 2.0, -2.0],
+        ]
+    )
+    b = np.array([sigma**2, sigma_c**2, sigma * sigma_c * rho * rho_c, sigma**2 * rho**2])
+    y = np.zeros(4)
+    h = t / steps
+
+    def rhs(v):
+        return p * (a @ v) + b
+
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
 def test_central_clearing_agrees_with_rk4():
     for n in (5, 50):
         m = central_clearing_moments(P, SIGMA, SIGMA_C, RHO, RHO_C, n, T)
-        raw = np.asarray(central_clearing_moments_rk4(P, SIGMA, SIGMA_C, RHO, RHO_C, n, T))
+        raw = np.asarray(_central_clearing_moments_rk4(P, SIGMA, SIGMA_C, RHO, RHO_C, n, T))
         exact = np.array([m.periphery_var, m.center_var, m.center_cross, m.pair_cov])
         np.testing.assert_allclose(raw, exact, atol=1e-12)
 
