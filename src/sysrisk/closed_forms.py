@@ -22,6 +22,7 @@ from .core import (
     AcceptanceCriterion,
     ExpectedShortfall,
     RiskVector,
+    ShortfallSum,
     WorstCase,
 )
 
@@ -56,11 +57,6 @@ def expected_shortfall(z, probabilities, level: float = DEFAULT_ES_LEVEL) -> flo
     return -tail_sum / level
 
 
-def _shortfall_outcomes(x: RiskVector, d: np.ndarray) -> np.ndarray:
-    """Per-scenario aggregated shortfall: -sum_i (X_i - d_i)^-  (length M, <= 0)."""
-    return np.minimum(x.positions - d[:, None], 0.0).sum(axis=0)
-
-
 def _critical_levels(x: RiskVector, d) -> np.ndarray:
     if d is None:
         return np.zeros(x.n)
@@ -82,7 +78,7 @@ def rho_ag(
     aggregated outcome.
     """
     d = _critical_levels(x, d)
-    z = _shortfall_outcomes(x, d)
+    z = ShortfallSum(d).per_scenario(x.positions)
     if isinstance(criterion, WorstCase):
         return float(-z.min())
     if isinstance(criterion, ExpectedShortfall):

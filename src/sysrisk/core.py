@@ -9,7 +9,9 @@ Conventions used throughout the package:
   admissible allocations have a scenario-independent total, so the price of
   an allocation is that common column sum.
 * Aggregation functions map the N per-institution outcomes of one scenario
-  to a single real number and are increasing and concave in each position.
+  to a single real number and are increasing in each position.  All are
+  concave except GainLossWeighted with some v_i > 0, whose slopes run
+  alpha_i, 0, beta_i.
 * Acceptance criteria decide whether the M aggregated outcomes (weighted by
   the scenario probabilities) are good enough.
 
@@ -43,7 +45,7 @@ def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -192,6 +194,8 @@ class GainLossWeighted:
 
     Lambda(x) = -sum_i alpha_i x_i^-  +  sum_i beta_i (x_i - v_i)^+
     with alpha_i > beta_i >= 0 (losses hurt more than excess gains help).
+    Concave only when v = 0; for v_i > 0 the slope drops to 0 on (0, v_i)
+    and rises to beta_i above it.
     """
 
     alpha: np.ndarray

@@ -8,18 +8,21 @@ acceptability, for any combination of
 * aggregation        -- any core Aggregation,
 * acceptance         -- ExpectationFloor, WorstCase, ExpectedShortfall.
 
-It shares no formulas with the analytic modules.  Three solution paths, most
-exact first:
+It shares no formulas with the analytic modules.  Each call takes the first
+branch that fits; ``diagnostics["method"]`` names it:
 
-1. worst-case acceptance with separable aggregations (Sum / ShortfallSum)
-   reduces to per-scenario linear constraints solved in closed form;
-2. expectation-floor acceptance with exponential loss is a smooth convex
-   equality-constrained program solved by a damped Newton iteration on the
-   KKT system (analytic gradient and Hessian), with a nested solve over the
-   price that converges from any start as fallback; it raises
-   ``ConvergenceError`` rather than return an unconverged answer;
-3. everything else runs an exterior quadratic penalty with escalating weight,
-   a BFGS inner minimizer, and a final coordinate polish.
+1. ``exact-worst-case`` (``-clearing``): worst-case acceptance with Sum,
+   ShortfallSum or EisenbergNoe, per-scenario linear constraints in closed form;
+2. ``newton-exponential``: exponential loss under an expectation floor, a
+   smooth convex program solved by damped Newton on its KKT system, with a
+   nested solve over the price that converges from any start as fallback;
+3. ``exact-linear``: Sum under an expectation floor, one inequality on the total;
+4. ``lp``: every other piecewise-linear concave case, one linear program.
+
+Every branch returns an acceptable allocation or raises ``InfeasibleError`` or
+``ConvergenceError``.  Two cases have no exact method and raise ``ValueError``:
+exponential loss with floors, and GainLossWeighted with some v_i > 0 (not
+concave).
 
 ``numeric_rho_family`` turns a monotone family of expectation floors into a
 single number by bisecting on the cheapest self-consistent budget.  The
@@ -29,17 +32,20 @@ JSON-friendly reports.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy import sparse
+from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp
 
 from .core import (
+    ACCEPT_TOL,
     AcceptanceCriterion,
     Aggregation,
     ConvergenceError,
+    EisenbergNoe,
     ExpectationFloor,
     ExpectedShortfall,
     ExponentialLoss,
@@ -60,8 +66,6 @@ MAX_VARIABLES = 64
 NEWTON_TOL = 1e-10
 INNER_DECREMENT = 1e-26  # squared Newton decrement ending the nested solve's inner loop
 NESTED_MAX_ITER = 200
-PENALTY_WEIGHTS = tuple(10.0**k for k in range(1, 9))
-KKT_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +230,21 @@ def _worst_case_exact(x: RiskVector, cls: AllocationClass, lam) -> RiskResult:
         if isinstance(cls, Deterministic):
             mh = need.max(axis=1)
             y = np.repeat(mh[:, None], m, axis=1)
-        elif isinstance(cls, FullyFlexible):
-            rho = float(need.sum(axis=0).max())
-            y = need.copy()
-            y[0] += rho - need.sum(axis=0)
-        elif isinstance(cls, FloorConstrained):
-            req = np.maximum(need, cls.floors[:, None])
-            rho = float(req.sum(axis=0).max())
-            y = req.copy()
-            y[0] += rho - req.sum(axis=0)
-        elif isinstance(cls, Grouped):
-            from .finite_alloc import normalize_partition  # noqa: PLC0415
+        elif isinstance(cls, (FullyFlexible, FloorConstrained, Grouped)):
+            # each block (all institutions unless Grouped) pays its worst
+            # column requirement, the slack parked on its first member
+            if isinstance(cls, FloorConstrained):
+                need = np.maximum(need, cls.floors[:, None])
+            blocks = [slice(None)]
+            if isinstance(cls, Grouped):
+                from .finite_alloc import normalize_partition  # noqa: PLC0415
 
+                blocks = [list(b) for b in normalize_partition(cls.partition, n)]
             y = np.empty((n, m))
-            for block in normalize_partition(cls.partition, n):
-                rows = np.array(block)
-                c_g = float(need[rows].sum(axis=0).max())
+            for rows in blocks:
                 yb = need[rows].copy()
-                yb[0] += c_g - need[rows].sum(axis=0)
+                totals = yb.sum(axis=0)
+                yb[0] += float(totals.max()) - totals
                 y[rows] = yb
         elif isinstance(cls, TwoStateParametric):
             # regime-wise requirements: m_i >= lo_i off-state, m_i + a_i >= hi_i
@@ -271,22 +272,32 @@ def _worst_case_exact(x: RiskVector, cls: AllocationClass, lam) -> RiskResult:
             diagnostics={"method": "exact-worst-case", "min_outcome": float(z.min())},
         )
     if isinstance(lam, Sum):
-        worst = float((-x.positions.sum(axis=0)).max())
-        if isinstance(cls, FloorConstrained):
-            worst = max(worst, float(cls.floors.sum()))
-            base = np.repeat(cls.floors[:, None], m, axis=1)
-            base[0] += worst - cls.floors.sum()
-            y = base
-        else:
-            y = np.zeros((n, m))
-            y[0, :] = worst
-        return RiskResult(
-            rho=worst,
-            allocation=y,
-            ranking=rank_by_expected_allocation(x.space, y),
-            diagnostics={"method": "exact-worst-case"},
-        )
+        return _floored_total(x, cls, float((-x.positions.sum(axis=0)).max()),
+                              "exact-worst-case")
     raise TypeError("exact worst-case branch needs Sum or ShortfallSum")
+
+
+def _floored_total(x: RiskVector, cls: AllocationClass, need: float, method: str) -> RiskResult:
+    """Cheapest allocation with total >= need (and >= the floors' sum).
+
+    Finite floors are paid exactly; the rest goes to the first unfloored
+    institution, else institution 0.  Optimal for Sum, which sees only totals.
+    """
+    y = np.zeros((x.n, x.m))
+    total, sink, paid = need, 0, 0.0
+    if isinstance(cls, FloorConstrained):
+        finite = np.isfinite(cls.floors)
+        total = max(need, float(cls.floors.sum()))
+        sink = int(np.argmin(finite))            # first False, or 0 if none
+        paid = float(cls.floors[finite].sum())
+        y[finite] = cls.floors[finite][:, None]
+    y[sink] += total - paid
+    return RiskResult(
+        rho=total,
+        allocation=y,
+        ranking=rank_by_expected_allocation(x.space, y),
+        diagnostics={"method": method},
+    )
 
 
 def allocation_total(y: np.ndarray) -> float:
@@ -315,8 +326,10 @@ def _exponential_newton(
     puts nearly all softmax weight on one cell, its first step is huge and
     no backtracking rescues it.  It then falls back to ``_nested_price_solve``,
     which converges from any start, and polishes that answer with the KKT
-    iteration.  Raises ``ConvergenceError`` if neither path reaches
-    NEWTON_TOL.
+    iteration.  An answer counts only when the scaled KKT residual and the
+    moment's absolute gap to the budget are both at most NEWTON_TOL, so it
+    meets the floor within ACCEPT_TOL.  Raises ``ConvergenceError`` if
+    neither path gets there.
     """
     if budget <= 0.0:
         raise InfeasibleError("exponential moment is positive; budget must be > 0")
@@ -364,12 +377,16 @@ def _exponential_newton(
         s_hi *= 2.0
     s0 = brentq(manifold_gap, s_lo, s_hi, xtol=1e-13)
 
+    def gap(best, res):
+        """Stopping residual: the merit, and the moment's absolute budget gap."""
+        return max(best, budget * abs(float(res[-1])))
+
     def newton(v, mult):
         res, jac, hess = kkt_parts(v, mult)
         best = float(np.abs(res).max()) / scale
         iterations = 0
         for it in range(1, 151):
-            if best <= NEWTON_TOL:
+            if gap(best, res) <= NEWTON_TOL:
                 break
             kkt = np.zeros((par.k + 1, par.k + 1))
             kkt[: par.k, : par.k] = mult * hess + 1e-13 * np.eye(par.k)
@@ -394,7 +411,7 @@ def _exponential_newton(
             else:
                 break   # stalled
             iterations = it
-        return v, mult, best, iterations
+        return v, mult, gap(best, res), iterations
 
     def multiplier(v):
         """Least-squares multiplier of price + mult * jac = 0 at v."""
@@ -507,88 +524,97 @@ def _nested_price_solve(derivatives, price, shift, log_budget, v_start):
 
 
 # ---------------------------------------------------------------------------
-# generic branch: exterior penalty
+# LP branch: piecewise-linear concave aggregations
 # ---------------------------------------------------------------------------
 
-def _violations(
-    x: RiskVector, par: _Parameterization, lam, criterion, v: np.ndarray
-) -> float:
-    y = par.allocation(v)
-    z = aggregate_scenarios(lam, x.positions + y)
-    total = 0.0
+def _lp_solve(x: RiskVector, cls: AllocationClass, lam, criterion) -> RiskResult:
+    """min price.v over acceptable allocations Y(v), as one linear program.
+
+    Columns: the class variables v, one cell per institution and scenario,
+    and for ES the Rockafellar-Uryasev (2000) pair (c, w).  The cells give
+    outcomes t_j <= Lambda((X + Y)_j), with equality reachable, and
+    acceptance is monotone in t.  For Sum, ShortfallSum and GainLossWeighted
+    (v = 0), Lambda_i is a minimum of affine pieces; each cell u_ij lies below
+    every piece and t_j = sum_i u_ij.  For EisenbergNoe the cells are
+    post-fixed points y_j >= 0, (I - pi) y_j >= -(X_j + Y_j), t_j = -1'y_j;
+    the least one is the cleared loss (Tarski).  Acceptance: E[t] >= b,
+    t >= 0, or c + p'w / q <= 0 with w >= -t - c, w >= 0.  The answer is
+    checked on the true aggregation and against the floors.
+    """
+    n, m = x.n, x.m
+    par = _Parameterization(cls, n, m)
+    p = x.space.probabilities
+    ymap = par.basis.reshape(par.k, -1).T                  # vec Y = ymap @ v
+    es = isinstance(criterion, ExpectedShortfall)
+    grid, rhs = [], []
+
+    def rows(b, v=None, cells=None, c=None, w=None):
+        """One block row of A_ub z <= b over the columns [v | cells | c | w]."""
+        grid.append([v, cells, c, w] if es else [v, cells])
+        rhs.append(np.ravel(b))
+
+    column_sums = sparse.kron(np.ones((1, n)), sparse.eye_array(m))
+    if isinstance(lam, EisenbergNoe):
+        rows(x.positions, v=-ymap, cells=-sparse.kron(np.eye(n) - lam.pi, sparse.eye_array(m)))
+        outcome, cell_bound = -column_sums, (0.0, None)
+    else:
+        for slope, shift in _pieces(lam, n):
+            s = np.repeat(slope, m)
+            rows(s * x.positions.ravel() + np.repeat(shift, m),
+                 v=-s[:, None] * ymap, cells=sparse.eye_array(n * m))
+        outcome, cell_bound = column_sums, (None, None)
+    if isinstance(cls, FloorConstrained):
+        finite = np.repeat(np.isfinite(cls.floors), m)
+        rows(-np.repeat(cls.floors, m)[finite], v=-ymap[finite])
     if isinstance(criterion, ExpectationFloor):
-        gap = criterion.b - x.space.expectation(z)
-        total += max(0.0, gap) ** 2
+        rows(-criterion.b, cells=-(outcome.T @ p)[None, :])
     elif isinstance(criterion, WorstCase):
-        total += float(np.minimum(z, 0.0) ** 2 @ np.ones_like(z))
-    elif isinstance(criterion, ExpectedShortfall):
-        from .closed_forms import expected_shortfall  # noqa: PLC0415
-
-        total += max(0.0, expected_shortfall(z, x.space.probabilities, criterion.level)) ** 2
-    if isinstance(par.cls, FloorConstrained):
-        floor_gap = np.maximum(par.cls.floors[:, None] - y, 0.0)
-        total += float((floor_gap**2).sum())
-    return total
-
-
-def _penalty_solve(
-    x: RiskVector, cls: AllocationClass, lam, criterion
-) -> RiskResult:
-    par = _Parameterization(cls, x.n, x.m)
-    v = par.uniform_shift(float(np.abs(x.positions).max()))
-    if isinstance(lam, (Sum, ShortfallSum)):
-        # cheap warm start: the worst-case optimum is feasible for all criteria
-        try:
-            warm = _worst_case_exact(x, cls, lam)
-            v = _fit_variables(par, warm.allocation)
-        except (InfeasibleError, TypeError):
-            pass
-
-    def objective(weight):
-        def f(v_):
-            return float(par.price @ v_) + weight * _violations(x, par, lam, criterion, v_)
-
-        return f
-
-    for weight in PENALTY_WEIGHTS:
-        out = minimize(objective(weight), v, method="BFGS",
-                       options={"maxiter": 400, "gtol": 1e-10})
-        v = out.x
-    # coordinate polish, shrinking steps
-    f_final = objective(PENALTY_WEIGHTS[-1])
-    best = f_final(v)
-    for step in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
-        improved = True
-        while improved:
-            improved = False
-            for j in range(par.k):
-                for sgn in (1.0, -1.0):
-                    trial = v.copy()
-                    trial[j] += sgn * step
-                    val = f_final(trial)
-                    if val < best - 1e-15:
-                        v, best, improved = trial, val, True
+        rows(np.zeros(m), cells=-outcome)
+    elif es:
+        rows(0.0, c=np.ones((1, 1)), w=p[None, :] / criterion.level)
+        rows(np.zeros(m), cells=-outcome, c=-np.ones((m, 1)), w=-sparse.eye_array(m))
+    else:  # pragma: no cover
+        raise TypeError(f"unknown acceptance criterion {criterion!r}")
+    bounds = [(None, None)] * par.k + [cell_bound] * (n * m)
+    if es:
+        bounds += [(None, None)] + [(0.0, None)] * m
+    cost = np.zeros(len(bounds))
+    cost[: par.k] = par.price
+    a_ub = sparse.block_array(
+        [[None if blk is None else sparse.coo_array(blk) for blk in r] for r in grid],
+        format="csr",
+    )
+    out = linprog(cost, A_ub=a_ub, b_ub=np.concatenate(rhs), bounds=bounds, method="highs")
+    if out.status == 2:
+        raise InfeasibleError(f"no acceptable allocation: {out.message}")
+    if out.status != 0:
+        raise ConvergenceError(f"LP solve failed: {out.message}")
+    v = out.x[: par.k]
     y = par.allocation(v)
-    viol = math.sqrt(_violations(x, par, lam, criterion, v))
-    z = aggregate_scenarios(lam, x.positions + y)
+    if not is_acceptable(criterion, x.space, aggregate_scenarios(lam, x.positions + y)):
+        raise ConvergenceError("LP optimum is not acceptable on the true aggregation")
+    if isinstance(cls, FloorConstrained) and np.any(y < cls.floors[:, None] - ACCEPT_TOL):
+        raise ConvergenceError("LP optimum breaks a floor")
     return RiskResult(
         rho=float(par.price @ v),
         allocation=y,
         ranking=rank_by_expected_allocation(x.space, y),
-        diagnostics={
-            "method": "penalty",
-            "constraint_violation": viol,
-            "acceptable": bool(is_acceptable(criterion, x.space, z)),
-            "converged": viol <= KKT_TOL,
-        },
+        diagnostics={"method": "lp", "iterations": int(out.nit)},
     )
 
 
-def _fit_variables(par: _Parameterization, y: np.ndarray) -> np.ndarray:
-    """Least-squares variables reproducing a given allocation matrix."""
-    flat = par.basis.reshape(par.k, -1)
-    sol, *_ = np.linalg.lstsq(flat.T, y.ravel(), rcond=None)
-    return sol
+def _pieces(lam, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Affine pieces (slope s, shift c) with Lambda_i(x) = min over pieces of s_i x + c_i."""
+    zero = np.zeros(n)
+    if isinstance(lam, Sum):
+        return [(np.ones(n), zero)]
+    if isinstance(lam, ShortfallSum):
+        d = np.broadcast_to(lam.d, (n,))
+        return [(np.ones(n), -d), (zero, zero)]
+    if isinstance(lam, GainLossWeighted):
+        # alpha > beta >= 0: alpha min(x, 0) + beta max(x, 0) = min(alpha x, beta x)
+        return [(lam.alpha, zero), (lam.beta, zero)]
+    raise TypeError(f"no LP form for aggregation {lam!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +628,6 @@ def numeric_rho(
     criterion: AcceptanceCriterion,
 ) -> RiskResult:
     """Cheapest acceptable allocation in the given class; see module docstring."""
-    from .core import EisenbergNoe  # noqa: PLC0415
-
     if isinstance(criterion, (WorstCase, ExpectedShortfall)) and isinstance(
         lam, ExponentialLoss
     ):
@@ -618,40 +642,22 @@ def numeric_rho(
             res = _worst_case_exact(x, cls, ShortfallSum(np.zeros(x.n)))
             res.diagnostics["method"] = "exact-worst-case-clearing"
             return res
-    if isinstance(criterion, ExpectationFloor):
-        if isinstance(lam, ExponentialLoss) and not isinstance(cls, FloorConstrained):
-            budget = -criterion.b
-            if budget <= 0.0:
-                raise InfeasibleError("expectation floor must be negative for exponential loss")
-            return _exponential_newton(x, cls, lam, budget)
-        if isinstance(lam, Sum):
-            # E[sum X] + total >= b for every class; finite floors only bound
-            # the total from below by their sum
-            base = criterion.b - float(
-                x.space.probabilities @ x.positions.sum(axis=0)
-            )
-            y = np.zeros((x.n, x.m))
-            if isinstance(cls, FloorConstrained):
-                finite = np.isfinite(cls.floors)
-                if finite.all():
-                    base = max(base, float(cls.floors.sum()))
-                    y = np.repeat(cls.floors[:, None], x.m, axis=1)
-                    y[0] += base - float(cls.floors.sum())
-                else:
-                    sink = int(np.flatnonzero(~finite)[0])
-                    y[finite] = np.repeat(
-                        cls.floors[finite][:, None], x.m, axis=1
-                    )
-                    y[sink] = base - float(cls.floors[finite].sum())
-            else:
-                y[0, :] = base
-            return RiskResult(
-                rho=base,
-                allocation=y,
-                ranking=rank_by_expected_allocation(x.space, y),
-                diagnostics={"method": "exact-linear"},
-            )
-    return _penalty_solve(x, cls, lam, criterion)
+    if isinstance(lam, ExponentialLoss):
+        if isinstance(cls, FloorConstrained):
+            raise ValueError("exponential loss with floor constraints has no exact "
+                             "method: floors turn the Newton system into a complementarity problem")
+        budget = -criterion.b
+        if budget <= 0.0:
+            raise InfeasibleError("expectation floor must be negative for exponential loss")
+        return _exponential_newton(x, cls, lam, budget)
+    if isinstance(criterion, ExpectationFloor) and isinstance(lam, Sum):
+        # E[sum X] + total >= b for every class
+        need = criterion.b - float(x.space.probabilities @ x.positions.sum(axis=0))
+        return _floored_total(x, cls, need, "exact-linear")
+    if isinstance(lam, GainLossWeighted) and np.any(lam.v > 0.0):
+        raise ValueError("GainLossWeighted with some v_i > 0 is not concave (slopes "
+                         "alpha, 0, beta), so it has no exact LP form")
+    return _lp_solve(x, cls, lam, criterion)
 
 
 @dataclass(eq=False)

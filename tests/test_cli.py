@@ -247,6 +247,21 @@ def test_oracle_run(tmp_path):
     assert float(value_of(rows, "rho")) == pytest.approx(-4.0 - 1.9, abs=1e-9)
 
 
+def test_oracle_refuses_nonconcave_gain_loss(tmp_path):
+    src = write_json(
+        tmp_path,
+        "oracle.json",
+        {
+            "probabilities": [0.5, 0.5],
+            "positions": [[1.0, -4.0], [2.0, -3.0]],
+            "class": {"type": "deterministic"},
+            "aggregation": {"type": "gain-loss", "alpha": [2, 2], "beta": [1, 1], "v": [0, 1]},
+            "acceptance": {"type": "worst-case"},
+        },
+    )
+    assert main(["--solver", "oracle", "--input", src]) == 1
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

@@ -5,6 +5,9 @@ aside, it only trusts feasibility and cost.  These tests tie the two
 implementations together.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,12 +19,15 @@ from sysrisk.core import (
     ExpectationFloor,
     ExpectedShortfall,
     ExponentialLoss,
+    GainLossWeighted,
     InfeasibleError,
     RiskVector,
     ScenarioSpace,
     ShortfallSum,
     Sum,
     WorstCase,
+    aggregate_scenarios,
+    is_acceptable,
 )
 from sysrisk.finite_alloc import enumerate_partitions, solve_grouped
 from sysrisk.oracle import (
@@ -141,6 +147,20 @@ def test_exponential_converges_from_concentrated_start(seed):
         assert res.diagnostics["residual"] <= oracle.NEWTON_TOL
 
 
+def test_exponential_answers_are_acceptable():
+    """Criterion 6's instances: "converged" must mean acceptable within ACCEPT_TOL."""
+    rng = np.random.default_rng(2024)
+    for seed in range(100):
+        x, alphas, gamma = sample_instance(seed)
+        partitions = list(enumerate_partitions(x.n))
+        partition = partitions[int(rng.integers(len(partitions)))]
+        lam, crit = ExponentialLoss(alphas), ExpectationFloor(-gamma)
+        for cls in (Grouped(partition), FullyFlexible()):
+            res = numeric_rho(x, cls, lam, crit)
+            z = aggregate_scenarios(lam, x.positions + res.allocation)
+            assert is_acceptable(crit, x.space, z), (seed, cls)
+
+
 def test_exponential_raises_when_no_path_converges(four_bank_example, monkeypatch):
     x, alphas, gamma = four_bank_example
     monkeypatch.setattr(oracle, "NEWTON_TOL", -1.0)   # unreachable
@@ -201,6 +221,18 @@ def test_worst_case_clearing_equals_zero_shortfall(small_risk_vector):
     assert a.diagnostics["method"] == "exact-worst-case-clearing"
 
 
+def test_worst_case_sum_with_an_unbounded_floor(small_risk_vector):
+    x = small_risk_vector
+    floors = np.array([0.0, -np.inf])
+    res = numeric_rho(x, FloorConstrained(floors), Sum(), WorstCase())
+    y = res.allocation
+    assert np.all(np.isfinite(y))
+    assert np.all(y >= floors[:, None])
+    np.testing.assert_array_equal(y.sum(axis=0), res.rho)
+    assert res.rho == -x.positions.sum(axis=0).min()
+    assert is_acceptable(WorstCase(), x.space, aggregate_scenarios(Sum(), x.positions + y))
+
+
 # ---------------------------------------------------------------------------
 # exact linear branch
 
@@ -236,7 +268,7 @@ def test_expectation_floor_sum_with_floors(small_risk_vector):
 
 
 # ---------------------------------------------------------------------------
-# penalty branch (expected shortfall criterion)
+# LP branch (expected shortfall criterion)
 
 
 def test_expected_shortfall_flexible_reduces_to_sum(small_risk_vector):
@@ -278,6 +310,100 @@ def test_two_state_allocation_structure(small_risk_vector):
 
 
 # ---------------------------------------------------------------------------
+# LP branch on random instances
+
+
+def _random_classes(rng, n, m):
+    floors = np.where(rng.random(n) < 0.5, -np.inf, -rng.uniform(0.0, 50.0, n))
+    labels = rng.integers(0, 2, n)
+    partition = tuple(tuple(np.flatnonzero(labels == g)) for g in (0, 1) if (labels == g).any())
+    indicator = np.zeros(m)
+    indicator[rng.choice(m, size=m // 2, replace=False)] = 1.0
+    return [Deterministic(), FullyFlexible(), FloorConstrained(floors),
+            Grouped(partition), TwoStateParametric(indicator)]
+
+
+def _clearing_matrix(rng, n):
+    pi = rng.uniform(0.0, 1.0, (n, n))
+    np.fill_diagonal(pi, 0.0)
+    return pi / (pi.sum(axis=1, keepdims=True) * rng.uniform(1.05, 2.0, (n, 1)))
+
+
+def _lp_instances(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+        x, _, _ = sample_instance(int(rng.integers(1 << 30)), n=n, m=m)
+        yield rng, x
+
+
+def test_lp_matches_exact_branches():
+    """Worst case with Sum / ShortfallSum / EisenbergNoe and Sum under an
+    expectation floor have closed forms; the LP must reproduce them."""
+    for rng, x in _lp_instances(10, seed=31):
+        n = x.n
+        cases = [
+            (Sum(), WorstCase()),
+            (ShortfallSum(rng.uniform(-5.0, 5.0, n)), WorstCase()),
+            (EisenbergNoe(_clearing_matrix(rng, n)), WorstCase()),
+            (Sum(), ExpectationFloor(-float(rng.uniform(0.0, 50.0)))),
+        ]
+        for cls in _random_classes(rng, n, x.m):
+            for lam, crit in cases:
+                exact = numeric_rho(x, cls, lam, crit)
+                assert exact.diagnostics["method"] != "lp"
+                lp = oracle._lp_solve(x, cls, lam, crit)
+                assert abs(lp.rho - exact.rho) <= 1e-12 * max(1.0, abs(exact.rho)), (cls, lam, crit)
+
+
+def test_lp_answers_are_acceptable():
+    for rng, x in _lp_instances(8, seed=32):
+        n = x.n
+        alpha = rng.uniform(1.0, 2.0, n)
+        aggregations = [
+            Sum(),
+            ShortfallSum(rng.uniform(-5.0, 5.0, n)),
+            GainLossWeighted(alpha, alpha * rng.uniform(0.0, 0.5, n), np.zeros(n)),
+            EisenbergNoe(_clearing_matrix(rng, n)),
+        ]
+        criteria = [ExpectedShortfall(float(rng.uniform(0.05, 0.5))),
+                    ExpectationFloor(-float(rng.uniform(0.0, 50.0)))]
+        for cls in _random_classes(rng, n, x.m):
+            for lam in aggregations:
+                for crit in criteria:
+                    if isinstance(lam, Sum) and isinstance(crit, ExpectationFloor):
+                        continue   # exact-linear
+                    res = numeric_rho(x, cls, lam, crit)
+                    assert res.diagnostics["method"] == "lp"
+                    y = res.allocation
+                    z = aggregate_scenarios(lam, x.positions + y)
+                    assert is_acceptable(crit, x.space, z), (cls, lam, crit)
+                    assert allocation_total(y) == pytest.approx(res.rho, abs=1e-9)
+                    if isinstance(cls, FloorConstrained):
+                        assert np.all(y >= cls.floors[:, None] - 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lp_es_shortfall_grouped_spans_the_class_extremes(seed):
+    x, _, _ = sample_instance(seed)
+    lam, crit = ShortfallSum(np.zeros(x.n)), ExpectedShortfall(0.2)
+    singles = numeric_rho(x, Grouped(tuple((i,) for i in range(x.n))), lam, crit)
+    det = numeric_rho(x, Deterministic(), lam, crit)
+    assert singles.rho == pytest.approx(det.rho, rel=1e-12, abs=1e-12)
+    grand = numeric_rho(x, Grouped((tuple(range(x.n)),)), lam, crit)
+    flex = numeric_rho(x, FullyFlexible(), lam, crit)
+    assert grand.rho == pytest.approx(flex.rho, rel=1e-12, abs=1e-12)
+    assert flex.rho <= det.rho
+
+
+def test_lp_reports_infeasible(small_risk_vector):
+    # shortfalls are never positive, so a positive expected floor is unreachable
+    with pytest.raises(InfeasibleError):
+        numeric_rho(small_risk_vector, FullyFlexible(), ShortfallSum(np.zeros(2)),
+                    ExpectationFloor(1.0))
+
+
+# ---------------------------------------------------------------------------
 # routing refusals
 
 
@@ -289,6 +415,33 @@ def test_exponential_rejects_sign_criteria(small_risk_vector):
         numeric_rho(small_risk_vector, FullyFlexible(), lam, ExpectedShortfall(0.05))
     with pytest.raises(InfeasibleError):
         numeric_rho(small_risk_vector, FullyFlexible(), lam, ExpectationFloor(3.0))
+
+
+def test_refuses_exponential_loss_with_floors(small_risk_vector):
+    lam = ExponentialLoss(np.array([0.2, 0.3]))
+    with pytest.raises(ValueError, match="no exact method"):
+        numeric_rho(small_risk_vector, FloorConstrained(np.zeros(2)), lam,
+                    ExpectationFloor(-10.0))
+
+
+def test_refuses_nonconcave_gain_loss(small_risk_vector):
+    lam = GainLossWeighted(np.array([2.0, 2.0]), np.array([0.5, 0.5]), np.array([0.0, 1.0]))
+    for crit in (WorstCase(), ExpectedShortfall(0.05), ExpectationFloor(-1.0)):
+        with pytest.raises(ValueError, match="not concave"):
+            numeric_rho(small_risk_vector, FullyFlexible(), lam, crit)
+
+
+def test_oracle_does_not_import_closed_forms():
+    """The oracle checks the closed forms, so it must not borrow from them."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any("closed_forms" in name for name in names), ast.dump(node)
 
 
 # ---------------------------------------------------------------------------
