@@ -25,9 +25,14 @@ can be as small as 1e-14, so the solver states their equality as log ratios
 and evaluates G_i directly rather than as Phi - F_i.  It runs a damped Newton
 iteration on these 2N-2 equations plus the budget constraint.
 
-The bivariate CDF itself is evaluated by integrating the exact single-integral
-reduction with fixed-order Gauss-Legendre panels; no library routine offers
-the 1e-12 absolute accuracy wanted here.
+Everything else is closed form in these probabilities: each budget term is a
+truncated first moment of the bivariate normal (by parts, Rosenbaum 1961),
+and every derivative Newton needs is a univariate normal term of it.  So one
+evaluation, two bivariate CDF values per institution, gives the residual,
+the Jacobian, the budget and the multiplier.  The bivariate CDF itself is
+evaluated by integrating the exact single-integral reduction with
+fixed-order Gauss-Legendre panels; no library routine offers the 1e-12
+absolute accuracy wanted here.
 """
 from __future__ import annotations
 
@@ -38,13 +43,12 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .core import ConvergenceError, GaussianSystem
-from .gaussian_det import norm_pdf, optimal_deterministic, shortfall_expectation
+from .gaussian_det import norm_pdf, optimal_deterministic
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _CUTOFF = 9.0            # |x| beyond which Phi(x) is 0/1 to < 1e-18
 _TAIL_LOG = 39.0         # e^-39 ~ 1e-17: relative size of the neglected lower tail
 BINORM_TOL = 1e-12
-QUAD_TOL = 1e-10
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 200
 
@@ -108,6 +112,13 @@ def binorm_cdf(h: float, k: float, r: float) -> float:
     return float(min(1.0, max(0.0, _panels(f, a, b, n_panels))))
 
 
+def _inner_cdf(x: float, q: float) -> float:
+    """Phi(x / q); at q = 0 (|corr| = 1) its limit, a step that is 1/2 at x = 0."""
+    if q > 0.0:
+        return float(ndtr(x / q))
+    return 0.5 + 0.5 * float(np.sign(x))
+
+
 @dataclass(eq=False)
 class _JointGeometry:
     """Joint law of each (X_i, S), S = sum X_i, for a Gaussian system."""
@@ -116,8 +127,7 @@ class _JointGeometry:
     sigma: np.ndarray
     mu_s: float
     sigma_s: float
-    cov_is: np.ndarray      # cov(X_i, S) = row sums of the covariance
-    corr_is: np.ndarray
+    corr_is: np.ndarray     # corr(X_i, S)
 
     @classmethod
     def of(cls, system: GaussianSystem) -> "_JointGeometry":
@@ -132,65 +142,36 @@ class _JointGeometry:
             sigma=sigma,
             mu_s=float(system.mu.sum()),
             sigma_s=sigma_s,
-            cov_is=cov_is,
             corr_is=np.clip(cov_is / (sigma * sigma_s), -1.0, 1.0),
         )
 
-    def joint_cdf(self, i: int, x: float, y: float) -> float:
-        """F_i(x, y) = P(X_i <= x, S <= y)."""
-        return binorm_cdf(
-            (x - self.mu[i]) / self.sigma[i],
-            (y - self.mu_s) / self.sigma_s,
-            float(self.corr_is[i]),
-        )
+    def state(self, i: int, c: float, trigger: float, calm: bool):
+        """Institution i's shortfall below c in one state of S, in closed form.
 
-    def upper_joint_cdf(self, i: int, x: float, y: float) -> float:
-        """G_i(x, y) = P(X_i <= x, S > y), as the bivariate CDF of (X_i, -S).
+        Returns (P, p, E): P = P(X_i < c, state), its density p = dP/dc, and
+        the budget term E = E[(c - X_i)^+; state], whose derivative in c is P.
+        The distress state is {S <= trigger}; the calm state {S > trigger} is
+        the same event for (X_i, -S), so k and r change sign.  With
+        h = (c - mu_i)/sigma_i, k = (trigger - mu_S)/sigma_S, r = corr(X_i, S)
+        and q = sqrt(1 - r^2), integration by parts of the truncated first
+        moment (Rosenbaum 1961) gives
 
-        Computed directly rather than as Phi - F_i, which would cancel to
-        binorm_cdf's absolute error when the probability is small.
+            P = Phi2(h, k; r),      p = phi(h) Phi((k - r h)/q) / sigma_i,
+            E = sigma_i [h P + phi(h) Phi((k - r h)/q) + r phi(k) Phi((h - r k)/q)].
+
+        At |r| = 1 (q = 0) the inner Phi terms are their limiting steps.  P is
+        computed directly, not as a difference, so calm probabilities of
+        1e-14 keep their relative accuracy.
         """
-        return binorm_cdf(
-            (x - self.mu[i]) / self.sigma[i],
-            (self.mu_s - y) / self.sigma_s,
-            -float(self.corr_is[i]),
-        )
-
-    def tail_moment(self, i: int, lo: float, hi: float, y: float) -> float:
-        """Oriented integral of x * f_{X_i}(x) * P(S <= y | X_i = x) over [lo, hi].
-
-        The conditional S | X_i = x is normal with mean mu_s + (c_i/sigma_i^2)
-        (x - mu_i) and variance sigma_s^2 - c_i^2/sigma_i^2, so the double
-        integral over the joint density reduces to one smooth 1-d integral.
-        Refined by panel doubling until successive values agree to 1e-10.
-        """
-        if lo == hi:
-            return 0.0
-        sign = 1.0
-        if lo > hi:
-            lo, hi, sign = hi, lo, -1.0
-        mu_i, s_i = self.mu[i], self.sigma[i]
-        lo = max(lo, mu_i - 9.5 * s_i)
-        hi = min(hi, mu_i + 9.5 * s_i)
-        if lo >= hi:
-            return 0.0
-        slope = self.cov_is[i] / s_i**2
-        cond_var = self.sigma_s**2 - self.cov_is[i] ** 2 / s_i**2
-        cond_sd = math.sqrt(max(cond_var, 1e-300))
-
-        def f(x):
-            cond_mu = self.mu_s + slope * (x - mu_i)
-            return x * norm_pdf((x - mu_i) / s_i) / s_i * ndtr((y - cond_mu) / cond_sd)
-
-        n = max(2, int(math.ceil((hi - lo) / (0.25 * s_i))))
-        value = _panels(f, lo, hi, n)
-        for _ in range(6):
-            n *= 2
-            refined = _panels(f, lo, hi, n)
-            if abs(refined - value) <= QUAD_TOL:
-                return sign * refined
-            value = refined
-        raise ConvergenceError("tail moment quadrature did not stabilize")
+        sign = -1.0 if calm else 1.0
+        h = (c - self.mu[i]) / self.sigma[i]
+        k = sign * (trigger - self.mu_s) / self.sigma_s
+        r = sign * float(self.corr_is[i])
+        q = math.sqrt((1.0 - r) * (1.0 + r))
+        prob = binorm_cdf(h, k, r)
+        dens = norm_pdf(h) * _inner_cdf(k - r * h, q)
+        moment = h * prob + dens + r * norm_pdf(k) * _inner_cdf(h - r * k, q)
+        return prob, dens / self.sigma[i], self.sigma[i] * moment
 
 
 def psi_two_state(
@@ -203,12 +184,12 @@ def psi_two_state(
     """Expected total shortfall under the two-state allocation (m, alpha).
 
     Psi(m, alpha) = sum_i E[(X_i + m_i + alpha_i 1{S <= trigger} - d_i)^-]
-                  = sum_i [ psi_i(m_i)
-                            + (m_i - d_i)      F_i(d_i - m_i,           trigger)
-                            - (m_i + alpha_i - d_i) F_i(d_i - m_i - alpha_i, trigger)
-                            + T_i ],
-    with T_i the oriented tail moment over [d_i - m_i - alpha_i, d_i - m_i].
-    alpha = 0 reproduces the deterministic budget sum_i psi_i(m_i).
+                  = sum_i [ E[(d_i - m_i - X_i)^+; S > trigger]
+                            + E[(d_i - m_i - alpha_i - X_i)^+; S <= trigger] ],
+    each term in closed form from the bivariate normal CDF (see
+    ``_JointGeometry.state``).  alpha = 0 reproduces the deterministic budget
+    sum_i psi_i(m_i).  Accurate to binorm_cdf's 1e-12 for every system
+    ``GaussianSystem`` accepts, including |corr(X_i, S)| = 1.
     """
     geo = _JointGeometry.of(system)
     m = np.asarray(m, dtype=float)
@@ -221,18 +202,20 @@ def psi_two_state(
     d = np.zeros(n) if d is None else np.asarray(d, dtype=float)
     total = 0.0
     for i in range(n):
-        total += shortfall_expectation(m[i], geo.mu[i], geo.sigma[i], d[i])
-        if alpha[i] != 0.0:
-            total += (m[i] - d[i]) * geo.joint_cdf(i, d[i] - m[i], trigger)
-            total -= (m[i] + alpha[i] - d[i]) * geo.joint_cdf(
-                i, d[i] - m[i] - alpha[i], trigger
-            )
-            total += geo.tail_moment(i, d[i] - m[i] - alpha[i], d[i] - m[i], trigger)
+        total += geo.state(i, d[i] - m[i], trigger, calm=True)[2]
+        total += geo.state(i, d[i] - m[i] - alpha[i], trigger, calm=False)[2]
     return total
 
 
 @dataclass(eq=False)
 class TwoStateSolution:
+    """Optimum found by ``solve_two_state``.
+
+    ``converged`` is always True: a solve that misses NEWTON_TOL raises
+    ``ConvergenceError`` instead of returning.  The field stays for callers
+    that read it.
+    """
+
     m: np.ndarray            # capital in the calm state (S > trigger)
     alpha: np.ndarray        # distress-state transfer (sums to zero)
     rho: float               # total capital = sum m
@@ -282,12 +265,18 @@ def solve_two_state(
 
     Unknowns are m (N) and the first N-1 transfers (the last is minus their
     sum).  The rows are N-1 log ratios of the calm-state probabilities
-    G_i(d_i - m_i, trigger), N-1 differences of the distress-state
-    probabilities F_i(d_i - m_i - alpha_i, trigger), and the budget.  The calm
-    probabilities can be as small as 1e-14 at the optimum, so only their
-    ratios carry the condition.  Starts from the deterministic optimum with a
-    small alpha perturbation; a second attempt with the opposite perturbation
-    is made if the first stalls.  Convergence: residual sup-norm <= 1e-8.
+    G_i = P(X_i < d_i - m_i, S > trigger), N-1 differences of the
+    distress-state probabilities F_i = P(X_i < d_i - m_i - alpha_i,
+    S <= trigger), and the budget.  The calm probabilities can be as small as
+    1e-14 at the optimum, so only their ratios carry the condition.  Each
+    iterate is one exact evaluation, 2N bivariate CDF values, that gives the
+    residual and the analytic Jacobian together: dPsi/dm_i = -(G_i + F_i),
+    dPsi/dalpha_i = -F_i, and the probability rows differentiate through the
+    densities of ``_JointGeometry.state``.  Starts from the deterministic
+    optimum with a small alpha perturbation and halves a step (at most 8
+    times) until the residual sup-norm falls.  Returns once that is
+    <= NEWTON_TOL = 1e-8; a stalled line search, a singular system or
+    NEWTON_MAX_ITER steps raise ``ConvergenceError``.
 
     If either state lies beyond the bivariate CDF's cutoff
     (|trigger - E[S]| >= 9 sd(S)), its probabilities are zero in floating
@@ -302,81 +291,80 @@ def solve_two_state(
     d_arr = np.zeros(n) if d is None else np.asarray(d, dtype=float)
     det = optimal_deterministic(system, gamma, d_arr)   # also proves feasibility
     geo = _JointGeometry.of(system)
+    head = np.arange(n - 1)
 
-    def solution(m, alpha, residual, iterations, converged):
-        short = geo.upper_joint_cdf(n - 1, d_arr[-1] - m[-1], trigger) + geo.joint_cdf(
-            n - 1, d_arr[-1] - m[-1] - alpha[-1], trigger
-        )
+    def full_alpha(a_head: np.ndarray) -> np.ndarray:
+        return np.append(a_head, -a_head.sum())
+
+    def evaluate(z: np.ndarray):
+        """Residual, Jacobian and P(institution N short) at z = (m, alpha head)."""
+        c = d_arr - z[:n]
+        alpha = full_alpha(z[n:])
+        g_prob, g_dens, g_moment = np.array(
+            [geo.state(i, c[i], trigger, calm=True) for i in range(n)]
+        ).T
+        f_prob, f_dens, f_moment = np.array(
+            [geo.state(i, c[i] - alpha[i], trigger, calm=False) for i in range(n)]
+        ).T
+        with np.errstate(divide="ignore", invalid="ignore"):   # G_i = 0 gives NaN rows
+            log_calm = np.log(g_prob)
+            hazard = g_dens / g_prob        # d log G_i / d c_i
+            res = np.concatenate([
+                log_calm[:-1] - log_calm[-1],
+                f_prob[:-1] - f_prob[-1],
+                [g_moment.sum() + f_moment.sum() - gamma],
+            ])
+        # columns: m_0..m_{N-1}, then alpha_0..alpha_{N-2}; dc_i/dm_i = -1
+        jac = np.zeros((2 * n - 1, 2 * n - 1))
+        jac[head, head] = -hazard[:-1]
+        jac[head, n - 1] = hazard[-1]
+        rows = n - 1 + head
+        jac[rows, head] = -f_dens[:-1]
+        jac[rows, n - 1] = f_dens[-1]
+        jac[rows, n:] = -f_dens[-1]          # alpha_{N-1} = -sum of the head
+        jac[rows, n + head] -= f_dens[:-1]
+        jac[-1, :n] = -(g_prob + f_prob)
+        jac[-1, n:] = f_prob[-1] - f_prob[:-1]
+        return res, jac, g_prob[-1] + f_prob[-1]
+
+    def solution(z, residual, iterations, short):
         return TwoStateSolution(
-            m=m,
-            alpha=alpha,
-            rho=float(m.sum()),
+            m=z[:n],
+            alpha=full_alpha(z[n:]),
+            rho=float(z[:n].sum()),
             lam=-1.0 / short if short > 1e-14 else math.nan,
             trigger=trigger,
             gamma=gamma,
             d=d_arr,
             residual=residual,
             iterations=iterations,
-            converged=converged,
+            converged=True,
         )
 
+    z = np.concatenate([det.m, np.zeros(n - 1)])
     if abs(trigger - geo.mu_s) >= _CUTOFF * geo.sigma_s:
-        return solution(det.m, np.zeros(n), det.residual, 0, True)
-
-    def full_alpha(a_head: np.ndarray) -> np.ndarray:
-        return np.append(a_head, -a_head.sum())
-
-    def residuals(z: np.ndarray) -> np.ndarray:
-        m = z[:n]
-        alpha = full_alpha(z[n:])
-        log_calm = np.empty(n)   # log P(institution i short, S > trigger)
-        tail = np.empty(n)       # P(institution i short, S <= trigger)
-        with np.errstate(divide="ignore"):
-            for i in range(n):
-                log_calm[i] = np.log(geo.upper_joint_cdf(i, d_arr[i] - m[i], trigger))
-                tail[i] = geo.joint_cdf(i, d_arr[i] - m[i] - alpha[i], trigger)
-        out = np.empty(2 * n - 1)
-        out[: n - 1] = log_calm[:-1] - log_calm[-1]
-        out[n - 1 : 2 * n - 2] = tail[:-1] - tail[-1]
-        out[2 * n - 2] = psi_two_state(system, m, alpha, d_arr, trigger) - gamma
-        return out
-
-    def attempt(z0: np.ndarray):
-        z = z0.copy()
-        res = residuals(z)
-        best = float(np.abs(res).max())
-        for it in range(1, NEWTON_MAX_ITER + 1):
-            if best <= NEWTON_TOL:
-                return z, best, it - 1, True
-            jac = np.empty((z.size, z.size))
-            for j in range(z.size):
-                h = 1e-6 * max(1.0, abs(z[j]))
-                zp = z.copy()
-                zp[j] += h
-                jac[:, j] = (residuals(zp) - res) / h
-            try:
-                step = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-            scale = 1.0
-            for _ in range(9):
-                cand = z + scale * step
-                cres = residuals(cand)
-                cbest = float(np.abs(cres).max())
-                if cbest < best:
-                    z, res, best = cand, cres, cbest
-                    break
-                scale *= 0.5
-            else:
-                return z, best, it, False   # stalled
-        return z, best, NEWTON_MAX_ITER, best <= NEWTON_TOL
-
-    z0 = np.concatenate([det.m, np.zeros(n - 1)])
-    z0[n] = 1e-3
-    z, residual, iters, ok = attempt(z0)
-    if not ok:
-        z0[n] = -1e-3
-        z2, r2, it2, ok2 = attempt(z0)
-        if ok2 or r2 < residual:
-            z, residual, iters, ok = z2, r2, iters + it2, ok2
-    return solution(z[:n], full_alpha(z[n:]), residual, iters, bool(ok))
+        return solution(z, det.residual, 0, evaluate(z)[2])
+    z[n] = 1e-3
+    res, jac, short = evaluate(z)
+    best = float(np.abs(res).max())
+    iterations = 0
+    while not best <= NEWTON_TOL:       # a NaN residual iterates, then raises
+        if iterations == NEWTON_MAX_ITER:
+            raise ConvergenceError(
+                f"two-state Newton reached {NEWTON_MAX_ITER} steps at residual {best:.3g}"
+            )
+        iterations += 1
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            raise ConvergenceError("two-state first-order system is singular") from None
+        for scale in 0.5 ** np.arange(9):
+            cand = z + scale * step
+            cres, cjac, cshort = evaluate(cand)
+            cbest = float(np.abs(cres).max())
+            if cbest < best:
+                z, res, jac, short, best = cand, cres, cjac, cshort, cbest
+                break
+        else:
+            raise ConvergenceError(f"two-state Newton stalled at residual {best:.3g}")
+    return solution(z, best, iterations, short)

@@ -22,7 +22,9 @@ branch that fits; ``diagnostics["method"]`` names it:
 Every branch returns an acceptable allocation or raises ``InfeasibleError`` or
 ``ConvergenceError``.  Two cases have no exact method and raise ``ValueError``:
 exponential loss with floors, and GainLossWeighted with some v_i > 0 (not
-concave).
+concave).  An unbounded LP also raises ``ValueError``: rho is -inf there, as
+for GainLossWeighted with beta_i > alpha_k (i != k) and transferable cash,
+where moving cash from k to i raises the aggregate at no cost.
 
 ``numeric_rho_family`` turns a monotone family of expectation floors into a
 single number by bisecting on the cheapest self-consistent budget.  The
@@ -587,6 +589,8 @@ def _lp_solve(x: RiskVector, cls: AllocationClass, lam, criterion) -> RiskResult
     out = linprog(cost, A_ub=a_ub, b_ub=np.concatenate(rhs), bounds=bounds, method="highs")
     if out.status == 2:
         raise InfeasibleError(f"no acceptable allocation: {out.message}")
+    if out.status == 3:
+        raise ValueError(f"rho is -inf: acceptable allocations cost arbitrarily little ({out.message})")
     if out.status != 0:
         raise ConvergenceError(f"LP solve failed: {out.message}")
     v = out.x[: par.k]

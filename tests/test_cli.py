@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from sysrisk import gaussian_scen
 from sysrisk.cli import TABLES, fmt, main, parse_sweep
 
 # ---------------------------------------------------------------------------
@@ -143,6 +144,14 @@ def test_gaussian_scen_run(tmp_path):
     np.testing.assert_allclose(m + a, [0.317527337, 4.131504618], atol=1e-5)
 
 
+def test_gaussian_scen_missed_tolerance_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(gaussian_scen, "NEWTON_MAX_ITER", 1)   # this input needs 4
+    src = write_json(tmp_path, "model.json", TWO_BANK)
+    code, rows = run_cli(tmp_path, "--solver", "gaussian-scen", "--input", src)
+    assert code == 3
+    assert rows == []
+
+
 def test_finite_run(tmp_path):
     src = write_json(
         tmp_path,
@@ -260,6 +269,22 @@ def test_oracle_refuses_nonconcave_gain_loss(tmp_path):
         },
     )
     assert main(["--solver", "oracle", "--input", src]) == 1
+
+
+def test_oracle_unbounded_gain_loss_is_a_configuration_error(tmp_path, capsys):
+    src = write_json(
+        tmp_path,
+        "oracle.json",
+        {
+            "probabilities": [0.5, 0.5],
+            "positions": [[1.0, -4.0], [2.0, -3.0]],
+            "class": {"type": "deterministic"},
+            "aggregation": {"type": "gain-loss", "alpha": [1, 2], "beta": [0.5, 1.5], "v": [0, 0]},
+            "acceptance": {"type": "expectation-floor", "b": -1.0},
+        },
+    )
+    assert main(["--solver", "oracle", "--input", src]) == 1
+    assert "rho is -inf" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

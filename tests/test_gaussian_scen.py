@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
-from sysrisk.core import GaussianSystem
+from sysrisk import gaussian_scen
+from sysrisk.core import ConvergenceError, GaussianSystem
 from sysrisk.gaussian_det import optimal_deterministic, shortfall_expectation
 from sysrisk.gaussian_scen import (
     NEWTON_TOL,
@@ -103,20 +105,67 @@ def test_binorm_marginal_recovery():
 # psi_two_state
 
 
-@pytest.mark.parametrize(
-    "cov12,sigma2,m,alpha",
-    [
-        (-2.4, 3.0, (0.3, 1.5), (2.0, -2.0)),
-        (0.9, 2.0, (0.0, 0.8), (-0.6, 0.6)),
-        (0.0, 1.0, (1.1, -0.2), (0.0, 0.0)),
-    ],
-)
-def test_psi_against_conditional_quadrature(cov12, sigma2, m, alpha):
-    system = _system(cov12, sigma2)
+# (system, m, alpha); two-bank ids are cov12-sigma2-m-alpha
+PSI_CASES = [
+    pytest.param(_system(-2.4, 3.0), (0.3, 1.5), (2.0, -2.0), id="-2.4-3.0-m0-alpha0"),
+    pytest.param(_system(0.9, 2.0), (0.0, 0.8), (-0.6, 0.6), id="0.9-2.0-m1-alpha1"),
+    pytest.param(_system(0.0, 1.0), (1.1, -0.2), (0.0, 0.0), id="0.0-1.0-m2-alpha2"),
+    pytest.param(
+        GaussianSystem(
+            np.array([0.5, -0.3, 0.2]),
+            np.array([[1.0, 0.3, -0.2], [0.3, 2.25, 0.4], [-0.2, 0.4, 0.64]]),
+        ),
+        (0.4, 1.1, -0.2), (0.8, -1.1, 0.3), id="3-bank",
+    ),
+    pytest.param(
+        GaussianSystem(
+            np.array([-0.4, 0.1, 0.6, 0.0]),
+            np.array([
+                [1.0, -0.5, 0.2, 0.3],
+                [-0.5, 4.0, -1.2, 0.6],
+                [0.2, -1.2, 2.25, -0.9],
+                [0.3, 0.6, -0.9, 1.44],
+            ]),
+        ),
+        (0.9, 0.2, -0.5, 1.3), (-1.2, 1.5, 0.4, -0.7), id="4-bank",
+    ),
+]
+
+
+@pytest.mark.parametrize("system,m,alpha", PSI_CASES)
+def test_psi_against_conditional_quadrature(system, m, alpha):
     m, alpha = np.asarray(m), np.asarray(alpha)
     lib = psi_two_state(system, m, alpha, trigger=TRIGGER)
     ref = psi_reference(system, m, alpha, TRIGGER)
     assert lib == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "loadings,trigger",
+    [((1.0, -2.0), 0.5), ((1.0, 3.0), 1.0)],
+    ids=["antimonotone", "comonotone"],
+)
+def test_psi_with_perfectly_correlated_banks(loadings, trigger):
+    """X = b Z for one standard normal Z, so |corr(X_i, S)| = 1 and the
+    covariance has rank 1.  The expected value integrates the shortfall over
+    Z piecewise, split where a shortfall starts and at the trigger."""
+    b = np.array(loadings)
+    m, alpha = np.array([0.3, 1.2]), np.array([0.7, -0.7])
+    edge = trigger / b.sum()     # S = b.sum() Z crosses the trigger here
+
+    def shortfall(z):
+        y = m + alpha * (b.sum() * z <= trigger)
+        return np.maximum(-(b * z + y), 0.0).sum() * norm.pdf(z)
+
+    cuts = [-40.0, *sorted({edge, *(-m / b), *(-(m + alpha) / b)}), 40.0]
+    expected = sum(
+        quad(shortfall, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(cuts, cuts[1:])
+    )
+    system = GaussianSystem(np.zeros(2), np.outer(b, b))
+    assert psi_two_state(system, m, alpha, trigger=trigger) == pytest.approx(
+        expected, abs=1e-12
+    )
 
 
 def test_psi_zero_transfer_is_static_shortfall():
@@ -289,6 +338,34 @@ def test_calm_probabilities_equal_at_the_optimum(cov, gamma, trigger):
     assert log_calm[0] == pytest.approx(log_calm[1], abs=tol)
     assert math.exp(log_tail[0]) == pytest.approx(math.exp(log_tail[1]), abs=tol)
     assert psi_reference(system, sol.m, sol.alpha, trigger) == pytest.approx(gamma, abs=tol)
+
+
+def test_missed_tolerance_raises(monkeypatch):
+    """A solve that has not met NEWTON_TOL within NEWTON_MAX_ITER steps raises
+    instead of returning an answer a caller could miss."""
+    system = _system(0.0, 3.0)
+    assert solve_two_state(system, GAMMA, trigger=TRIGGER).iterations > 1
+    monkeypatch.setattr(gaussian_scen, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError):
+        solve_two_state(system, GAMMA, trigger=TRIGGER)
+
+
+@pytest.mark.parametrize("corr", sorted(TABLE_WIDE_SPREAD))
+def test_one_evaluation_per_iterate(corr, monkeypatch):
+    """Work budget: each iterate is one exact evaluation, two bivariate CDF
+    values per institution, and these solves take full Newton steps, so a
+    solve makes 2N (iterations + 1) calls.  Finite differences, line-search
+    retries or a separate budget pass would show here."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return binorm_cdf(*args)
+
+    monkeypatch.setattr(gaussian_scen, "binorm_cdf", counted)
+    system = _system(corr * 3.0, 3.0)
+    sol = solve_two_state(system, GAMMA, trigger=TRIGGER)
+    assert len(calls) == 2 * system.n * (sol.iterations + 1)
 
 
 def test_equal_marginals_need_no_transfer():

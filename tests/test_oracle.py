@@ -431,6 +431,15 @@ def test_refuses_nonconcave_gain_loss(small_risk_vector):
             numeric_rho(small_risk_vector, FullyFlexible(), lam, crit)
 
 
+def test_unbounded_lp_is_reported_as_such(small_risk_vector):
+    """beta_1 = 1.5 > alpha_0 = 1: shifting cash from institution 0 to 1 raises
+    the aggregate at no cost, so rho is -inf, not a failed solve."""
+    lam = GainLossWeighted(np.array([1.0, 2.0]), np.array([0.5, 1.5]), np.zeros(2))
+    for cls in (Deterministic(), FullyFlexible()):
+        with pytest.raises(ValueError, match="rho is -inf"):
+            numeric_rho(small_risk_vector, cls, lam, ExpectationFloor(-1.0))
+
+
 def test_oracle_does_not_import_closed_forms():
     """The oracle checks the closed forms, so it must not borrow from them."""
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
