@@ -414,6 +414,10 @@ class RiskResult:
 
 def rank_by_expected_allocation(space: ScenarioSpace, y: np.ndarray) -> tuple[int, ...]:
     """Institution indices by decreasing E[Y_i]; ties broken by lower index."""
-    ey = np.asarray(y, dtype=float) @ space.probabilities
+    return rank_by_expectation(np.asarray(y, dtype=float) @ space.probabilities)
+
+
+def rank_by_expectation(ey: np.ndarray) -> tuple[int, ...]:
+    """Indices of an expectation vector by decreasing value; ties to the lower index."""
     order = np.lexsort((np.arange(ey.size), -ey))
     return tuple(int(i) for i in order)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sysrisk import finite_alloc
 from sysrisk.core import RiskVector, ScenarioSpace
 from sysrisk.finite_alloc import (
     MAX_SWEEP_INSTITUTIONS,
@@ -284,6 +285,68 @@ def test_group_sweep_cap():
     x = RiskVector(space, np.zeros((MAX_SWEEP_INSTITUTIONS + 1, 2)))
     with pytest.raises(ValueError, match="capped"):
         group_sweep(x, np.full(MAX_SWEEP_INSTITUTIONS + 1, 0.3), 50.0)
+
+
+def _sweep_instance(seed, n, m=5):
+    """Drawn like the benchmark's finite instances."""
+    rng = np.random.default_rng(seed)
+    raw = rng.exponential(1.0, size=m)
+    positions = rng.uniform(-100.0, 100.0, size=(n, m))
+    x = RiskVector(ScenarioSpace(raw / raw.sum()), positions)
+    return x, rng.uniform(0.05, 0.5, size=n), float(rng.uniform(1.0, 100.0))
+
+
+@pytest.mark.parametrize("n,seed", [(6, 61), (6, 62), (7, 71)])
+def test_group_sweep_equals_solve_grouped_exactly(n, seed):
+    x, alphas, gamma = _sweep_instance(seed, n)
+    entries = group_sweep(x, alphas, gamma)
+    direct = [solve_grouped(x, alphas, gamma, p) for p in enumerate_partitions(n)]
+    direct.sort(key=lambda s: (s.rho, s.partition))
+    assert [e.partition for e in entries] == [s.partition for s in direct]
+    assert [e.rho for e in entries] == [s.rho for s in direct]
+    for e, s in zip(entries, direct):
+        assert e.group_constants.tolist() == s.group_constants.tolist()
+
+
+def test_group_sweep_solves_each_block_once(monkeypatch):
+    # one logsumexp per block constant: 2^n - 1 blocks, not one per group of
+    # every partition (151 at n = 5)
+    calls = []
+    real = finite_alloc.logsumexp
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(finite_alloc, "logsumexp", counted)
+    n = 5
+    x, alphas, gamma = _sweep_instance(5, n)
+    assert len(group_sweep(x, alphas, gamma)) == 52
+    assert len(calls) == 2**n - 1
+
+
+@pytest.mark.parametrize(
+    "alphas,gamma,msg",
+    [
+        (np.full(3, 0.3), 50.0, "one entry per institution"),
+        (np.array([0.3, 0.0, 0.3, 0.3]), 50.0, "strictly positive"),
+        (np.array([0.3, -0.1, 0.3, 0.3]), 50.0, "strictly positive"),
+        (np.full(4, 0.3), 0.0, "gamma"),
+        (np.full(4, 0.3), -1.0, "gamma"),
+    ],
+)
+def test_group_sweep_validates_inputs(example, alphas, gamma, msg):
+    x, _, _ = example
+    with pytest.raises(ValueError, match=msg):
+        group_sweep(x, alphas, gamma)
+
+
+def test_group_sweep_nine_institutions():
+    x, alphas, gamma = _sweep_instance(9, 9)
+    entries = group_sweep(x, alphas, gamma)
+    assert len(entries) == 21147   # Bell(9)
+    assert entries[0].partition == (tuple(range(9)),)
+    assert entries[-1].partition == tuple((i,) for i in range(9))
 
 
 def test_rank_institutions_frozen(example):
