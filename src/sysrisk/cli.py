@@ -15,9 +15,7 @@ are rounded prints and a handful are known to disagree with their own source
 data, so ``recheck`` flags are expected on those cells.
 
 Exit codes: 0 success, 1 configuration error, 2 infeasible problem,
-3 solver non-convergence.  SYSRISK_THREADS is accepted for compatibility
-and validated (an integer >= 0), but sweeps run in one thread: the solvers
-hold the GIL, so worker threads only slowed them down.
+3 solver non-convergence.
 """
 from __future__ import annotations
 
@@ -26,7 +24,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -95,18 +92,6 @@ def write_csv(rows: list[list], header: list[str], out_path: str | None) -> None
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def worker_count() -> int:
-    """Validated SYSRISK_THREADS (0 = one per CPU); sweeps no longer use it."""
-    raw = os.environ.get("SYSRISK_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"SYSRISK_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError("SYSRISK_THREADS must be >= 0")
-    return os.cpu_count() or 1 if n == 0 else max(1, n)
 
 
 def load_input(path: str) -> dict:
@@ -605,7 +590,6 @@ def run_sweep(solver: str, data: dict, args) -> tuple[list[str], list[list]]:
         _, rows = runner(local_data, local_args)
         return [[value] + row for row in rows]
 
-    worker_count()   # still validated; sweeps run in one thread
     rows = [row for value in values for row in one(value)]
     return [name, "quantity", "key", "value"], rows
 

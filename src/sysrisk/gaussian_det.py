@@ -6,10 +6,11 @@ budget sum_i E[(X_i + m_i - d_i)^-] at gamma satisfies
 
     m_i = d_i - mu_i - sigma_i * R,
 
-where R < 0 is the unique root of  R*Phi(R) + phi(R) = gamma / sum_i sigma_i.
-Only the marginals matter; correlations drop out of the expectation.  The
-problem is feasible iff gamma / sum sigma < 1/sqrt(2*pi)  (the value of the
-left side at R = 0; pushing R below any bound drives it to 0).
+where R is the unique root of  R*Phi(R) + phi(R) = gamma / sum_i sigma_i.
+Only the marginals matter; correlations drop out of the expectation.  Every
+gamma > 0 is feasible: the left side is E[(R - Z)^+], which rises from 0
+(R -> -inf) without bound.  For gamma / sum sigma >= 1/sqrt(2*pi), its value
+at R = 0, the root has R >= 0 and the optimum takes cash out.
 """
 from __future__ import annotations
 
@@ -20,10 +21,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .core import ConvergenceError, GaussianSystem, InfeasibleError
+from .core import ConvergenceError, GaussianSystem
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-R_BRACKET = (-40.0, 0.0)
 RESIDUAL_TOL = 1e-9   # |sum_i psi_i(m_i) - gamma| at the reported solution
 
 
@@ -44,22 +44,20 @@ def mills_sum(r: float) -> float:
 
 
 def solve_r(target: float) -> float:
-    """Root R < 0 of R*Phi(R) + phi(R) = target for 0 < target < 1/sqrt(2 pi).
+    """Root R of R*Phi(R) + phi(R) = target for any target > 0.
 
-    The left side increases from 0 (R -> -inf) to 1/sqrt(2 pi) at R = 0, so a
-    bracketed Brent search on [-40, 0] is safe.  target >= 1/sqrt(2 pi) means
-    the budget cannot be met with R <= 0 (infeasible); target <= 0 is a domain
-    error.
+    The left side, E[(R - Z)^+], increases from 0 (R -> -inf) through
+    1/sqrt(2 pi) at R = 0 and exceeds max(R, 0), so Brent's bracket is
+    [-40, 0] for target < 1/sqrt(2 pi) and [-40, target + 1] above it (at
+    R = target the excess phi(R) - R Phi(-R) can round to 0).  target <= 0
+    is a domain error.
     """
     if target <= 0.0:
         raise ValueError("target must be positive")
-    if target >= INV_SQRT_2PI:
-        raise InfeasibleError(
-            f"budget ratio {target:.6g} >= 1/sqrt(2*pi); no admissible solution"
-        )
-    r = brentq(lambda t: mills_sum(t) - target, *R_BRACKET, xtol=1e-15, rtol=8.9e-16)
-    if abs(mills_sum(r) - target) > 1e-12:
-        raise ConvergenceError("root residual above 1e-12")
+    hi = 0.0 if target < INV_SQRT_2PI else target + 1.0
+    r = brentq(lambda t: mills_sum(t) - target, -40.0, hi, xtol=1e-15, rtol=8.9e-16)
+    if abs(mills_sum(r) - target) > 1e-12 * max(1.0, target):
+        raise ConvergenceError("root residual above 1e-12 relative")
     return float(r)
 
 
@@ -127,8 +125,8 @@ def sensitivities(system: GaussianSystem, gamma: float, d=None) -> Deterministic
 
         dm_i/dsigma_k = (sigma_i/S) (R + phi(R)/Phi(R)) - delta_ik R.
 
-    The diagonal dm_i/dsigma_i is strictly positive: more volatile institutions
-    always require more capital.
+    While R < 0 (gamma / S < 1/sqrt(2 pi)) the diagonal dm_i/dsigma_i is
+    strictly positive: more volatile institutions require more capital.
     """
     sol = optimal_deterministic(system, gamma, d)
     sigma = system.sigma

@@ -289,7 +289,7 @@ def solve_two_state(
     if n < 2:
         raise ValueError("need at least two institutions to transfer capital")
     d_arr = np.zeros(n) if d is None else np.asarray(d, dtype=float)
-    det = optimal_deterministic(system, gamma, d_arr)   # also proves feasibility
+    det = optimal_deterministic(system, gamma, d_arr)   # the start; exists for every gamma > 0
     geo = _JointGeometry.of(system)
     head = np.arange(n - 1)
 

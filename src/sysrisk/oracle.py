@@ -13,9 +13,10 @@ branch that fits; ``diagnostics["method"]`` names it:
 
 1. ``exact-worst-case`` (``-clearing``): worst-case acceptance with Sum,
    ShortfallSum or EisenbergNoe, per-scenario linear constraints in closed form;
-2. ``newton-exponential``: exponential loss under an expectation floor, a
-   smooth convex program solved by damped Newton on its KKT system, with a
-   nested solve over the price that converges from any start as fallback;
+2. ``newton-exponential``: exponential loss under an expectation floor; the
+   budget's multiplier is the constant beta_N = sum_i 1/alpha_i, which turns
+   the program into one unconstrained convex minimisation, solved by damped
+   Newton;
 3. ``exact-linear``: Sum under an expectation floor, one inequality on the total;
 4. ``lp``: every other piecewise-linear concave case, one linear program.
 
@@ -39,8 +40,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import brentq, linprog
-from scipy.special import logsumexp
+from scipy.optimize import linprog
 
 from .core import (
     ACCEPT_TOL,
@@ -66,8 +66,7 @@ from .core import (
 
 MAX_VARIABLES = 64
 NEWTON_TOL = 1e-10
-INNER_DECREMENT = 1e-26  # squared Newton decrement ending the nested solve's inner loop
-NESTED_MAX_ITER = 200
+NEWTON_MAX_ITER = 150
 
 
 # ---------------------------------------------------------------------------
@@ -193,26 +192,6 @@ class _Parameterization:
     def allocation(self, v: np.ndarray) -> np.ndarray:
         return np.tensordot(v, self.basis, axes=1)
 
-    def uniform_shift(self, s: float) -> np.ndarray:
-        """Variables giving every institution the constant amount s."""
-        v = np.zeros(self.k)
-        if isinstance(self.cls, Deterministic):
-            v[:] = s
-        elif isinstance(self.cls, (FullyFlexible, FloorConstrained)):
-            v[:-1] = s
-            v[-1] = self.n * s
-        elif isinstance(self.cls, Grouped):
-            pos = 0
-            for block in self.partition:
-                nb = (len(block) - 1) * self.m
-                v[pos : pos + nb] = s
-                pos += nb
-                v[pos] = len(block) * s
-                pos += 1
-        elif isinstance(self.cls, TwoStateParametric):
-            v[: self.n] = s
-        return v
-
 
 # ---------------------------------------------------------------------------
 # exact branch: worst-case acceptance, separable aggregation
@@ -314,127 +293,87 @@ def allocation_total(y: np.ndarray) -> float:
 def _exponential_newton(
     x: RiskVector, cls: AllocationClass, lam: ExponentialLoss, budget: float
 ) -> RiskResult:
-    """Damped Newton on the KKT system of
-        min  price(v)   s.t.  sum_j p_j sum_i exp(-alpha_i (X+Y(v))_ij) = budget.
+    """min price(v)  s.t.  sum_j p_j sum_i exp(-alpha_i (X+Y(v))_ij) = budget.
 
-    The constraint set is convex, and the optimum sits on the boundary
-    because adding cash is always priced and always lowers the left side.
-    Everything runs against the *log* of the moment with softmax weights:
-    the raw exponentials span tens of orders of magnitude on realistic
-    position scales, which wrecks the Hessian conditioning, whereas the
-    log-domain Jacobian and Hessian stay O(1).
+    Every class reaching here contains the deterministic cash u with
+    u_i = (1/alpha_i) / beta_N, beta_N = sum_i 1/alpha_i: it costs 1 and
+    lowers the log moment L(v) by exactly t / beta_N per unit t.  So the
+    budget's multiplier is beta_N, and rho is the minimum of the convex
 
-    The KKT iteration is fast but only locally convergent: when the start
-    puts nearly all softmax weight on one cell, its first step is huge and
-    no backtracking rescues it.  It then falls back to ``_nested_price_solve``,
-    which converges from any start, and polishes that answer with the KKT
-    iteration.  An answer counts only when the scaled KKT residual and the
-    moment's absolute gap to the budget are both at most NEWTON_TOL, so it
-    meets the floor within ACCEPT_TOL.  Raises ``ConvergenceError`` if
-    neither path gets there.
+        f(v) = price.v + beta_N (L(v) - log budget),
+
+    which is flat only along u; its minimiser moved by beta_N (L - log budget)
+    along u meets the budget exactly at the same price.  L is evaluated in
+    the log domain with softmax weights, which keeps its derivatives O(1)
+    where the raw exponentials span tens of orders of magnitude.
+
+    Damped Newton from v = 0 with Armijo backtracking converges from any
+    start on such a function (Boyd & Vandenberghe 2004, 9.5).  The Hessian's
+    null direction is filled with u u' tr(H)/k plus a small ridge, and a
+    step whose predicted decrease is below f's roundoff is taken whole.  The
+    loop runs to roundoff: it stops once the scaled gradient is at most
+    NEWTON_TOL and no longer halving.  The answer counts only when that
+    gradient and the moment's absolute budget gap are both at most
+    NEWTON_TOL, so it meets the floor within ACCEPT_TOL; otherwise it raises
+    ``ConvergenceError``.
     """
-    if budget <= 0.0:
-        raise InfeasibleError("exponential moment is positive; budget must be > 0")
     par = _Parameterization(cls, x.n, x.m)
     alpha_mat = np.broadcast_to(lam.alpha[:, None], (x.n, x.m))
     log_p = np.log(x.space.probabilities)[None, :]
     log_budget = math.log(budget)
-    a_basis = par.basis.reshape(par.k, -1) * alpha_mat.ravel()[None, :]
+    flat_basis = par.basis.reshape(par.k, -1)
+    a_basis = flat_basis * alpha_mat.ravel()[None, :]
     scale = max(1.0, float(np.abs(par.price).max()))
+    beta = float((1.0 / lam.alpha).sum())
+    cash = np.repeat(1.0 / (lam.alpha * beta), x.m)
+    u = np.linalg.lstsq(flat_basis.T, cash, rcond=None)[0]
 
     def state(v):
-        """(log moment, softmax weights over institution-scenario cells)."""
+        """(f, log moment, softmax weights over institution-scenario cells)."""
         z = (log_p - alpha_mat * (x.positions + par.allocation(v))).ravel()
         zmax = float(z.max())
         w = np.exp(z - zmax)
         total = float(w.sum())
-        return zmax + math.log(total), w / total
+        lg = zmax + math.log(total)
+        return float(par.price @ v) + beta * (lg - log_budget), lg, w / total
 
-    def derivatives(v):
-        """Log moment with its gradient and Hessian in v."""
-        lg, w = state(v)
+    v = np.zeros(par.k)
+    f, lg, w = state(v)
+    previous = math.inf
+    for iterations in range(NEWTON_MAX_ITER + 1):
         jac = -a_basis @ w
-        hess = (a_basis * w[None, :]) @ a_basis.T - np.outer(jac, jac)
-        return lg, jac, hess
-
-    def kkt_parts(v, mult):
-        lg, jac, hess = derivatives(v)
-        res = np.concatenate([par.price + mult * jac, [lg - log_budget]])
-        return res, jac, hess
-
-    # start on the constraint manifold with a uniform cash level
-    log_terms = logsumexp(log_p - alpha_mat * x.positions, axis=1)
-
-    def manifold_gap(s: float) -> float:
-        return float(logsumexp(log_terms - lam.alpha * s)) - log_budget
-
-    s_lo, s_hi = -1.0, 1.0
-    for _ in range(80):
-        if manifold_gap(s_lo) > 0.0:
+        grad = par.price + beta * jac
+        gap = float(np.abs(grad).max()) / scale
+        if gap <= NEWTON_TOL and gap >= 0.5 * previous:
             break
-        s_lo *= 2.0
-    for _ in range(80):
-        if manifold_gap(s_hi) < 0.0:
-            break
-        s_hi *= 2.0
-    s0 = brentq(manifold_gap, s_lo, s_hi, xtol=1e-13)
-
-    def gap(best, res):
-        """Stopping residual: the merit, and the moment's absolute budget gap."""
-        return max(best, budget * abs(float(res[-1])))
-
-    def newton(v, mult):
-        res, jac, hess = kkt_parts(v, mult)
-        best = float(np.abs(res).max()) / scale
-        iterations = 0
-        for it in range(1, 151):
-            if gap(best, res) <= NEWTON_TOL:
-                break
-            kkt = np.zeros((par.k + 1, par.k + 1))
-            kkt[: par.k, : par.k] = mult * hess + 1e-13 * np.eye(par.k)
-            kkt[: par.k, -1] = jac
-            kkt[-1, : par.k] = jac
-            try:
-                step = np.linalg.solve(kkt, -res)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(kkt, -res, rcond=None)[0]
-            t = 1.0
-            for _ in range(40):
-                v_new = v + t * step[: par.k]
-                mult_new = mult + t * step[-1]
-                res_new, jac_new, hess_new = kkt_parts(v_new, mult_new)
-                cand = float(np.abs(res_new).max()) / scale
-                if cand < best and math.isfinite(cand):
-                    v, mult, res, jac, hess, best = (
-                        v_new, mult_new, res_new, jac_new, hess_new, cand,
-                    )
-                    break
+        previous = gap
+        hess = beta * ((a_basis * w[None, :]) @ a_basis.T - np.outer(jac, jac))
+        trace = float(hess.trace())
+        hess += np.outer(u, u) * (trace / par.k)
+        hess[np.diag_indices_from(hess)] += (
+            1e-8 * float(np.linalg.norm(grad)) + 1e-14 * max(1.0, trace)
+        )
+        step = np.linalg.solve(hess, -grad)
+        slope = float(grad @ step)
+        t, trial = 1.0, state(v + step)
+        if -slope > 1e-13 * max(1.0, abs(f)):
+            while t > 1e-30 and not trial[0] <= f + 1e-4 * t * slope:
                 t *= 0.5
-            else:
-                break   # stalled
-            iterations = it
-        return v, mult, gap(best, res), iterations
-
-    def multiplier(v):
-        """Least-squares multiplier of price + mult * jac = 0 at v."""
-        jac = derivatives(v)[1]
-        return float(-(par.price @ jac) / (jac @ jac))
-
-    v_start = par.uniform_shift(s0)
-    v, mult, best, iterations = newton(v_start, multiplier(v_start))
-    if best > NEWTON_TOL:
-        v_nested, inner_iterations = _nested_price_solve(
-            derivatives, par.price, par.uniform_shift(1.0), log_budget, v_start
-        )
-        v2, mult2, best2, it2 = newton(v_nested, multiplier(v_nested))
-        if best2 < best:
-            v, mult, best = v2, mult2, best2
-        iterations += inner_iterations + it2
-    if best > NEWTON_TOL:
+                trial = state(v + t * step)
+        v = v + t * step
+        f, lg, w = trial
+    else:
         raise ConvergenceError(
-            f"exponential KKT residual {best:.3g} above {NEWTON_TOL:g} on both paths"
+            f"exponential Newton gradient {gap:.3g} above {NEWTON_TOL:g} "
+            f"after {NEWTON_MAX_ITER} steps"
         )
 
+    v = v + beta * (lg - log_budget) * u
+    residual = max(gap, budget * abs(state(v)[1] - log_budget))
+    if residual > NEWTON_TOL:
+        raise ConvergenceError(
+            f"exponential budget gap {residual:.3g} above {NEWTON_TOL:g}"
+        )
     y = par.allocation(v)
     return RiskResult(
         rho=float(par.price @ v),
@@ -443,86 +382,10 @@ def _exponential_newton(
         diagnostics={
             "method": "newton-exponential",
             "iterations": iterations,
-            "residual": best,
-            "multiplier": mult,
-            "converged": True,
+            "residual": residual,
+            "multiplier": beta,
         },
     )
-
-
-def _nested_price_solve(derivatives, price, shift, log_budget, v_start):
-    """Globally convergent solve of  min price.v  s.t.  log moment(v) = log_budget.
-
-    phi(r) = min { log moment(v) : price.v = r } is convex and decreasing in
-    r, and the answer is the root of phi(r) = log_budget.  Inner: Newton on
-    the convex log moment over the plane price.v = r, safeguarded by Armijo
-    backtracking, so every step descends however ill-conditioned the
-    Hessian; it starts from the last inner optimum moved by a uniform cash
-    shift.  Outer: v_start lies on the constraint, so r0 = price.v_start
-    >= r*; the bracket below r0 grows from phi's tangent at r0, and Newton
-    on phi, bisecting whenever it leaves the bracket, closes it.  Returns
-    the optimal variables and the total inner iteration count.
-    """
-    null = np.linalg.svd(price[None, :])[2][1:].T     # price-preserving moves
-    shift = shift / float(price @ shift)              # unit-price uniform cash
-    counter = [0]
-
-    def inner(r, v):
-        """Minimise the log moment over price.v = r; (gap, v, dphi/dr)."""
-        v = v + (r - float(price @ v)) * shift
-        for _ in range(NESTED_MAX_ITER):
-            lg, jac, hess = derivatives(v)
-            grad = null.T @ jac
-            gnorm = float(np.linalg.norm(grad))
-            h = null.T @ hess @ null
-            h[np.diag_indices_from(h)] += 1e-8 * gnorm + 1e-14 * max(1.0, float(h.trace()))
-            direction = np.linalg.solve(h, -grad)
-            slope = float(grad @ direction)      # minus the squared Newton decrement
-            if -slope <= INNER_DECREMENT:
-                break
-            counter[0] += 1
-            step = null @ direction
-            t = 1.0
-            while t > 1e-30:
-                lg_new = derivatives(v + t * step)[0]
-                if lg_new < lg and lg_new <= lg + 1e-4 * t * slope:
-                    break
-                t *= 0.5
-            else:
-                break   # no descent left at working precision
-            v = v + t * step
-        lg, jac, _ = derivatives(v)
-        return lg - log_budget, v, float(jac @ shift)
-
-    gap, v, slope = inner(float(price @ v_start), v_start)
-    hi = float(price @ v)
-    if gap >= 0.0:
-        return v, counter[0]
-    # bracket [lo, hi] with phi(lo) > log_budget >= phi(hi)
-    width = max(gap / slope, 1e-12 * max(1.0, abs(hi)))
-    for _ in range(NESTED_MAX_ITER):
-        lo = hi - width
-        gap, v_lo, slope = inner(lo, v)
-        if gap > 0.0:
-            break
-        width *= 2.0
-    else:
-        raise ConvergenceError("nested exponential solve found no price bracket")
-    # Newton on the convex phi, with bisection whenever it leaves the bracket
-    r, v = lo, v_lo
-    for _ in range(NESTED_MAX_ITER):
-        r_new = r - gap / slope
-        if not lo < r_new < hi:
-            r_new = 0.5 * (lo + hi)
-        if abs(r_new - r) <= 1e-15 * max(1.0, abs(r)):
-            return v, counter[0]
-        r = r_new
-        gap, v, slope = inner(r, v)
-        if gap > 0.0:
-            lo = r
-        else:
-            hi = r
-    raise ConvergenceError("nested exponential solve did not settle on a price")
 
 
 # ---------------------------------------------------------------------------

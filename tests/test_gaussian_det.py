@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sysrisk.core import GaussianSystem, InfeasibleError
+from sysrisk.core import GaussianSystem
 from sysrisk.gaussian_det import (
     INV_SQRT_2PI,
     mills_sum,
@@ -54,9 +54,14 @@ class TestSolveR:
         rs = [solve_r(t) for t in (0.05, 0.10, 0.20, 0.35)]
         assert rs == sorted(rs)
 
-    def test_infeasible_budget(self):
-        with pytest.raises(InfeasibleError):
-            solve_r(INV_SQRT_2PI)
+    def test_large_target_root_against_quadrature(self):
+        # E[(R - Z)^+] has no upper bound, so targets >= 1/sqrt(2 pi) have a
+        # root R >= 0; check it against the undershoot integrated directly
+        assert solve_r(INV_SQRT_2PI) == pytest.approx(0.0, abs=1e-12)
+        r = solve_r(1.0)
+        assert r == pytest.approx(0.8994715612537435, abs=1e-14)
+        val, _ = quad(lambda z: (r - z) * norm_pdf(z), -40.0, r)
+        assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -120,10 +125,15 @@ def test_mean_shifts_capital_one_for_one():
     assert shifted.rho == pytest.approx(base.rho + 1.0, abs=1e-12)
 
 
-def test_infeasible_gamma_raises():
-    sys_ = GaussianSystem(np.zeros(2), np.eye(2))
-    with pytest.raises(InfeasibleError):
-        optimal_deterministic(sys_, gamma=2.0 * INV_SQRT_2PI)
+def test_large_gamma_takes_cash_out():
+    """sigma = 1, mu = 0, gamma = 1 > 1/sqrt(2 pi): the optimum extracts cash,
+    and its shortfall E[(X + m)^-], integrated directly, meets gamma."""
+    sol = optimal_deterministic(GaussianSystem(np.zeros(1), np.eye(1)), gamma=1.0)
+    assert sol.r_star == pytest.approx(0.8994715612537435, abs=1e-14)
+    m = float(sol.m[0])
+    assert m == pytest.approx(-sol.r_star, abs=1e-15)
+    val, _ = quad(lambda x: max(-(x + m), 0.0) * norm_pdf(x), -40.0, -m)
+    assert val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_solve_is_fast():

@@ -403,6 +403,22 @@ def test_budget_binds_and_cheaper_is_infeasible():
     assert cheaper > GAMMA
 
 
+def test_budget_above_the_deterministic_cash_out_point():
+    """gamma 2 exceeds sum(sigma) / sqrt(2 pi) ~ 1.596, so the deterministic
+    start takes cash out (R > 0); the two-state solve still meets the budget
+    and matches the independent two-bank derivation."""
+    system = _system(-1.5, 3.0)
+    det = optimal_deterministic(system, 2.0)
+    assert det.r_star > 0.0
+    sol = solve_two_state(system, 2.0, trigger=TRIGGER)
+    assert sol.rho == pytest.approx(-0.99329, abs=1e-5)
+    assert sol.rho <= det.rho
+    assert sol.rho == pytest.approx(two_bank_optimum(-1.5, 3.0, gamma=2.0).rho, abs=1e-8)
+    assert psi_two_state(system, sol.m, sol.alpha, trigger=TRIGGER) == pytest.approx(
+        2.0, abs=1e-10
+    )
+
+
 def test_first_order_certificates():
     """Finite-difference stationarity at the reported optimum: equal
     marginal pressure across institutions, a flat ridge along the
