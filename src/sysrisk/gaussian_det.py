@@ -24,7 +24,7 @@ from scipy.special import ndtr
 from .core import ConvergenceError, GaussianSystem
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-RESIDUAL_TOL = 1e-9   # |sum_i psi_i(m_i) - gamma| at the reported solution
+RESIDUAL_TOL = 1e-9   # |sum_i psi_i(m_i) - gamma| / max(1, gamma) at the solution
 
 
 def norm_pdf(x):
@@ -103,7 +103,7 @@ def optimal_deterministic(
         )
         - gamma
     )
-    if residual > RESIDUAL_TOL:
+    if residual > RESIDUAL_TOL * max(1.0, gamma):
         raise ConvergenceError(f"budget residual {residual:.3g} above tolerance")
     return DeterministicSolution(
         m=m, rho=float(m.sum()), r_star=r, gamma=gamma, d=d, residual=residual

@@ -128,8 +128,6 @@ class _Parameterization:
     """Affine map from a free-variable vector to an N x M allocation matrix."""
 
     def __init__(self, cls: AllocationClass, n: int, m: int):
-        self.cls = cls
-        self.n, self.m = n, m
         basis: list[np.ndarray] = []      # one N x M matrix per free variable
         if isinstance(cls, Deterministic):
             for i in range(n):
@@ -151,8 +149,7 @@ class _Parameterization:
         elif isinstance(cls, Grouped):
             from .finite_alloc import normalize_partition  # noqa: PLC0415
 
-            self.partition = normalize_partition(cls.partition, n)
-            for block in self.partition:
+            for block in normalize_partition(cls.partition, n):
                 ref = block[0]
                 for i in block[1:]:
                     for j in range(m):
@@ -381,6 +378,7 @@ def _exponential_newton(
         ranking=rank_by_expected_allocation(x.space, y),
         diagnostics={
             "method": "newton-exponential",
+            "converged": True,
             "iterations": iterations,
             "residual": residual,
             "multiplier": beta,

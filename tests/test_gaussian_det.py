@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from sysrisk.core import GaussianSystem
 from sysrisk.gaussian_det import (
     INV_SQRT_2PI,
+    RESIDUAL_TOL,
     mills_sum,
     norm_cdf,
     norm_pdf,
@@ -134,6 +135,16 @@ def test_large_gamma_takes_cash_out():
     assert m == pytest.approx(-sol.r_star, abs=1e-15)
     val, _ = quad(lambda x: max(-(x + m), 0.0) * norm_pdf(x), -40.0, -m)
     assert val == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("gamma", [1e7, 1e9, 1e12])
+def test_very_large_gamma_is_solved(gamma):
+    """Far above the cash-out point the budget is met to relative roundoff:
+    R -> gamma / sum(sigma) and the shortfall is nearly linear in m."""
+    sys_ = GaussianSystem(np.array([0.5, -0.2]), np.array([[1.0, 0.3], [0.3, 2.25]]))
+    sol = optimal_deterministic(sys_, gamma)
+    assert sol.r_star == pytest.approx(gamma / 2.5, rel=1e-12)
+    assert sol.residual <= RESIDUAL_TOL * gamma
 
 
 def test_solve_is_fast():

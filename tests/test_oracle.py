@@ -143,6 +143,7 @@ def test_exponential_converges_from_concentrated_start(seed):
         solve_grouped(x, alphas, gamma, [tuple(range(x.n))]).rho, rel=1e-8, abs=1e-8
     )
     for res in (grouped, flex):
+        assert res.diagnostics["converged"]
         assert res.diagnostics["residual"] <= oracle.NEWTON_TOL
 
 
