@@ -109,121 +109,105 @@ def load_input(path: str) -> dict:
     return data
 
 
+# A runner reads its input with data[key]; main reports a missing key, and the
+# TypeError or ValueError of a malformed value, as a configuration error.
+
 def _risk_vector(data: dict) -> RiskVector:
-    try:
-        space = ScenarioSpace(np.asarray(data["probabilities"], dtype=float))
-        return RiskVector(space, np.asarray(data["positions"], dtype=float))
-    except KeyError as exc:
-        raise ConfigError(f"missing input key: {exc}")
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    space = ScenarioSpace(np.asarray(data["probabilities"], dtype=float))
+    return RiskVector(space, np.asarray(data["positions"], dtype=float))
 
 
 def _gaussian_system(data: dict) -> GaussianSystem:
-    try:
-        return GaussianSystem(
-            np.asarray(data["mu"], dtype=float), np.asarray(data["cov"], dtype=float)
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing input key: {exc}")
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return GaussianSystem(
+        np.asarray(data["mu"], dtype=float), np.asarray(data["cov"], dtype=float)
+    )
 
 
-# ---------------------------------------------------------------------------
-# solver runners: each returns (header, rows)
-# ---------------------------------------------------------------------------
-
-def run_gaussian_det(data: dict, args) -> tuple[list[str], list[list]]:
-    system = _gaussian_system(data)
+def _gamma(data: dict, args) -> float:
     gamma = args.gamma if args.gamma is not None else data.get("gamma")
     if gamma is None:
         raise ConfigError("gamma must be given (flag or input key)")
-    sol = optimal_deterministic(system, float(gamma), data.get("d"))
-    rows = [["m", str(i), v] for i, v in enumerate(sol.m)]
+    return float(gamma)
+
+
+def _indexed(quantity: str, values) -> list[list]:
+    return [[quantity, str(i), v] for i, v in enumerate(values)]
+
+
+def _floors(values) -> np.ndarray:
+    """Per-institution floors; null means unbounded below."""
+    return np.array([-np.inf if f is None else float(f) for f in values])
+
+
+# ---------------------------------------------------------------------------
+# solver runners: each returns (quantity, key, value) rows
+# ---------------------------------------------------------------------------
+
+def run_gaussian_det(data: dict, args) -> list[list]:
+    sol = optimal_deterministic(_gaussian_system(data), _gamma(data, args), data.get("d"))
+    rows = _indexed("m", sol.m)
     rows += [["rho", "", sol.rho], ["r_star", "", sol.r_star],
              ["residual", "", sol.residual]]
-    return ["quantity", "key", "value"], rows
+    return rows
 
 
-def run_gaussian_scen(data: dict, args) -> tuple[list[str], list[list]]:
-    system = _gaussian_system(data)
-    gamma = args.gamma if args.gamma is not None else data.get("gamma")
-    if gamma is None:
-        raise ConfigError("gamma must be given (flag or input key)")
-    trigger = data.get("trigger", 0.0)
-    sol = solve_two_state(system, float(gamma), data.get("d"), float(trigger))
-    rows = [["m", str(i), v] for i, v in enumerate(sol.m)]
-    rows += [["alpha", str(i), v] for i, v in enumerate(sol.alpha)]
+def run_gaussian_scen(data: dict, args) -> list[list]:
+    sol = solve_two_state(_gaussian_system(data), _gamma(data, args), data.get("d"),
+                          float(data.get("trigger", 0.0)))
+    rows = _indexed("m", sol.m) + _indexed("alpha", sol.alpha)
     rows += [["rho", "", sol.rho], ["lambda", "", sol.lam],
              ["residual", "", sol.residual], ["iterations", "", float(sol.iterations)]]
-    return ["quantity", "key", "value"], rows
+    return rows
 
 
-def run_worst_case(data: dict, args) -> tuple[list[str], list[list]]:
+def run_worst_case(data: dict, args) -> list[list]:
     x = _risk_vector(data)
     d = data.get("d")
     rho_after = rho_ag(x, WorstCase(), d)
     rho_det, m_hat = rho_deterministic(x, d)
     rows = [["rho_ag", "", rho_after], ["rho_deterministic", "", rho_det]]
-    rows += [["m_hat", str(i), v] for i, v in enumerate(m_hat)]
+    rows += _indexed("m_hat", m_hat)
     if "floors" in data:
-        floors = np.array(
-            [-np.inf if f is None else float(f) for f in data["floors"]]
-        )
-        rho_con, _ = rho_constrained(x, floors, d)
+        rho_con, _ = rho_constrained(x, _floors(data["floors"]), d)
         rows.append(["rho_constrained", "", rho_con])
-    return ["quantity", "key", "value"], rows
+    return rows
 
 
-def run_es(data: dict, args) -> tuple[list[str], list[list]]:
+def run_es(data: dict, args) -> list[list]:
     x = _risk_vector(data)
-    level = args.level
-    d = data.get("d")
-    crit = ExpectedShortfall(level)
+    level, d = args.level, data.get("d")
     z = ShortfallSum(np.zeros(x.n) if d is None else d).per_scenario(x.positions)
-    rows = [
+    return [
         ["es_aggregate", "", expected_shortfall(z, x.space.probabilities, level)],
-        ["rho_ag", "", rho_ag(x, crit, d)],
+        ["rho_ag", "", rho_ag(x, ExpectedShortfall(level), d)],
         ["level", "", level],
     ]
-    return ["quantity", "key", "value"], rows
 
 
-def run_finite(data: dict, args) -> tuple[list[str], list[list]]:
+def run_finite(data: dict, args) -> list[list]:
     x = _risk_vector(data)
-    try:
-        alphas = np.asarray(data["alphas"], dtype=float)
-        gamma = float(args.gamma if args.gamma is not None else data["gamma"])
-        partition = data["partition"]
-    except KeyError as exc:
-        raise ConfigError(f"missing input key: {exc}")
-    sol = solve_grouped(x, alphas, gamma, partition)
+    alphas = np.asarray(data["alphas"], dtype=float)
+    gamma = float(args.gamma if args.gamma is not None else data["gamma"])
+    sol = solve_grouped(x, alphas, gamma, data["partition"])
     rows = [
         ["group_constant", "{" + ",".join(str(i) for i in block) + "}", c]
         for block, c in zip(sol.partition, sol.group_constants)
     ]
-    rows += [["expected_allocation", str(i), v]
-             for i, v in enumerate(sol.expected_allocation)]
+    rows += _indexed("expected_allocation", sol.expected_allocation)
     rows += [["rho", "", sol.rho], ["lambda", "", sol.lam]]
-    return ["quantity", "key", "value"], rows
+    return rows
 
 
-def run_ou(data: dict, args) -> tuple[list[str], list[list]]:
-    try:
-        model = NetworkModel(
-            np.asarray(data["rates"], dtype=float),
-            np.asarray(data["sigma"], dtype=float),
-            np.asarray(data["rho_common"], dtype=float),
-            np.asarray(data["x0"], dtype=float),
-        )
-        t = float(data["t"])
-    except KeyError as exc:
-        raise ConfigError(f"missing input key: {exc}")
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+def run_ou(data: dict, args) -> list[list]:
+    model = NetworkModel(
+        np.asarray(data["rates"], dtype=float),
+        np.asarray(data["sigma"], dtype=float),
+        np.asarray(data["rho_common"], dtype=float),
+        np.asarray(data["x0"], dtype=float),
+    )
+    t = float(data["t"])
     system = heterogeneous_covariance(model, t)
-    rows = [["mean", str(i), v] for i, v in enumerate(system.mu)]
+    rows = _indexed("mean", system.mu)
     rows += [
         ["cov", f"{i}:{j}", system.cov[i, j]]
         for i in range(model.n)
@@ -233,10 +217,9 @@ def run_ou(data: dict, args) -> tuple[list[str], list[list]]:
         sample = simulate_paths(
             model, t, int(data["paths"]), int(data["steps"]), args.seed
         )
-        rows += [["mc_mean", str(i), v] for i, v in enumerate(sample.mean)]
-        rows += [["mc_var", str(i), v] for i, v in enumerate(np.diag(sample.cov))]
-        rows += [["mc_se_var", str(i), v] for i, v in enumerate(sample.se_var)]
-    return ["quantity", "key", "value"], rows
+        rows += _indexed("mc_mean", sample.mean) + _indexed("mc_var", np.diag(sample.cov))
+        rows += _indexed("mc_se_var", sample.se_var)
+    return rows
 
 
 def _parse_aggregation(spec: dict):
@@ -265,10 +248,7 @@ def _parse_class(spec: dict):
     if kind == "fully-flexible":
         return FullyFlexible()
     if kind == "floor-constrained":
-        floors = np.array(
-            [-np.inf if f is None else float(f) for f in spec["floors"]]
-        )
-        return FloorConstrained(floors)
+        return FloorConstrained(_floors(spec["floors"]))
     if kind == "grouped":
         return Grouped(tuple(tuple(b) for b in spec["partition"]))
     if kind == "two-state":
@@ -287,14 +267,11 @@ def _parse_acceptance(spec: dict, level: float):
     raise ConfigError(f"unknown acceptance type {kind!r}")
 
 
-def run_oracle(data: dict, args) -> tuple[list[str], list[list]]:
+def run_oracle(data: dict, args) -> list[list]:
     x = _risk_vector(data)
-    try:
-        cls = _parse_class(data["class"])
-        lam = _parse_aggregation(data["aggregation"])
-        crit = _parse_acceptance(data["acceptance"], args.level)
-    except KeyError as exc:
-        raise ConfigError(f"missing input key: {exc}")
+    cls = _parse_class(data["class"])
+    lam = _parse_aggregation(data["aggregation"])
+    crit = _parse_acceptance(data["acceptance"], args.level)
     result = numeric_rho(x, cls, lam, crit)
     rows = [["rho", "", result.rho],
             ["method", "", result.diagnostics.get("method", "")]]
@@ -304,7 +281,7 @@ def run_oracle(data: dict, args) -> tuple[list[str], list[list]]:
             for i in range(x.n)
             for j in range(x.m)
         ]
-    return ["quantity", "key", "value"], rows
+    return rows
 
 
 RUNNERS = {
@@ -331,81 +308,64 @@ def _flag(computed: float, reference: float, tol: float, relative: bool) -> str:
     return "ok" if abs(computed - reference) <= limit else "recheck"
 
 
-def _two_bank_case(cov12: float, sigma2: float, gamma=0.7, trigger=2.0):
-    system = GaussianSystem(
-        np.zeros(2), np.array([[1.0, cov12], [cov12, sigma2**2]])
-    )
-    det = optimal_deterministic(system, gamma)
-    scen = solve_two_state(system, gamma, trigger=trigger)
-    return det, scen
+_GAUSS_QUANTITIES = ("m1_det", "m2_det", "rho_det", "m1", "m2", "alpha", "rho")
 
 
-def _gauss_rows(case: str, det, scen, refs: dict) -> list[list]:
-    distress = scen.distress_allocation   # the reference tables quote this state
-    computed = {
-        "m1_det": det.m[0],
-        "m2_det": det.m[1],
-        "rho_det": det.rho,
-        "m1": distress[0],
-        "m2": distress[1],
-        "alpha": scen.transfer_size,
-        "rho": scen.rho,
-    }
-    return [
-        [case, q, computed[q], refs[q], _flag(computed[q], refs[q], GAUSS_TABLE_TOL, True)]
-        for q in computed
-    ]
+def _gauss_table(cases) -> tuple[list[str], list[list]]:
+    """Tables 1-3: two banks, gamma 0.7, trigger 2.  Each case is
+    (label, cov12, sigma2, reference cells in _GAUSS_QUANTITIES order)."""
+    rows = []
+    for label, cov12, sigma2, refs in cases:
+        system = GaussianSystem(np.zeros(2), np.array([[1.0, cov12], [cov12, sigma2**2]]))
+        det = optimal_deterministic(system, 0.7)
+        scen = solve_two_state(system, 0.7, trigger=2.0)
+        distress = scen.distress_allocation   # the reference tables quote this state
+        computed = (det.m[0], det.m[1], det.rho, distress[0], distress[1],
+                    scen.transfer_size, scen.rho)
+        rows += [
+            [label, q, c, ref, _flag(c, ref, GAUSS_TABLE_TOL, True)]
+            for q, c, ref in zip(_GAUSS_QUANTITIES, computed, refs)
+        ]
+    return ["case", "quantity", "computed", "reference", "flag"], rows
 
 
 def table_1() -> tuple[list[str], list[list]]:
-    det_ref = {"m1_det": 0.5772, "m2_det": 1.7316, "rho_det": 2.3088}
-    random_ref = {
-        -0.8: (0.1597, 1.7230, 2.8704, 1.8827),
-        -0.5: (0.2908, 1.7776, 2.3161, 2.0683),
-        0.0: (0.4490, 1.7796, 1.7208, 2.2286),
-        0.5: (0.5463, 1.7461, 1.3389, 2.2924),
-        0.8: (0.5737, 1.7314, 0.7905, 2.3053),
-    }
-    rows = []
-    for corr, (m1, m2, alpha, rho) in random_ref.items():
-        det, scen = _two_bank_case(cov12=corr * 1.0 * 3.0, sigma2=3.0)
-        refs = dict(det_ref, m1=m1, m2=m2, alpha=alpha, rho=rho)
-        rows += _gauss_rows(f"corr={corr:g}", det, scen, refs)
-    return ["case", "quantity", "computed", "reference", "flag"], rows
+    det_ref = (0.5772, 1.7316, 2.3088)
+    return _gauss_table([
+        (f"corr={corr:g}", corr * 3.0, 3.0, det_ref + random_ref)
+        for corr, random_ref in (
+            (-0.8, (0.1597, 1.7230, 2.8704, 1.8827)),
+            (-0.5, (0.2908, 1.7776, 2.3161, 2.0683)),
+            (0.0, (0.4490, 1.7796, 1.7208, 2.2286)),
+            (0.5, (0.5463, 1.7461, 1.3389, 2.2924)),
+            (0.8, (0.5737, 1.7314, 0.7905, 2.3053)),
+        )
+    ])
 
 
 def table_2() -> tuple[list[str], list[list]]:
-    blocks = {
-        1.0: ((0.1008, 0.1031, 0.2039), (0.1008, 0.1031, 0.0002, 0.2039)),
-        5.0: ((0.8168, 4.0816, 4.8984), (0.3167, 4.1295, 3.5987, 4.4462)),
-        10.0: ((1.1417, 11.3964, 12.5381), (0.4631, 11.4333, 6.9909, 11.8963)),
-    }
-    rows = []
-    for sigma2, (dref, rref) in blocks.items():
-        det, scen = _two_bank_case(cov12=-0.5 * 1.0 * sigma2, sigma2=sigma2)
-        refs = {
-            "m1_det": dref[0], "m2_det": dref[1], "rho_det": dref[2],
-            "m1": rref[0], "m2": rref[1], "alpha": rref[2], "rho": rref[3],
-        }
-        rows += _gauss_rows(f"sigma2={sigma2:g}", det, scen, refs)
-    return ["case", "quantity", "computed", "reference", "flag"], rows
+    return _gauss_table([
+        (f"sigma2={sigma2:g}", -0.5 * sigma2, sigma2, refs)
+        for sigma2, refs in (
+            (1.0, (0.1008, 0.1031, 0.2039, 0.1008, 0.1031, 0.0002, 0.2039)),
+            (5.0, (0.8168, 4.0816, 4.8984, 0.3167, 4.1295, 3.5987, 4.4462)),
+            (10.0, (1.1417, 11.3964, 12.5381, 0.4631, 11.4333, 6.9909, 11.8963)),
+        )
+    ])
 
 
 def table_3() -> tuple[list[str], list[list]]:
-    det_ref = {"m1_det": 0.3486, "m2_det": 0.6313, "rho_det": 0.9799}
-    random_ref = {
-        -0.8: (0.2671, 0.6347, 2.1413, 0.9018),
-        -0.32: (0.2799, 0.6577, 1.1161, 0.9376),
-        0.0: (0.3062, 0.6530, 0.8416, 0.9592),
-        0.32: (0.3271, 0.6414, 0.6813, 0.9685),
-        0.8: (0.3436, 0.6294, 0.6597, 0.9750),
-    }
-    rows = []
-    for cov, (m1, m2, alpha, rho) in random_ref.items():
-        det, scen = _two_bank_case(cov12=cov, sigma2=math.sqrt(3.28))
-        refs = dict(det_ref, m1=m1, m2=m2, alpha=alpha, rho=rho)
-        rows += _gauss_rows(f"cov={cov:g}", det, scen, refs)
-    return ["case", "quantity", "computed", "reference", "flag"], rows
+    det_ref = (0.3486, 0.6313, 0.9799)
+    return _gauss_table([
+        (f"cov={cov:g}", cov, math.sqrt(3.28), det_ref + random_ref)
+        for cov, random_ref in (
+            (-0.8, (0.2671, 0.6347, 2.1413, 0.9018)),
+            (-0.32, (0.2799, 0.6577, 1.1161, 0.9376)),
+            (0.0, (0.3062, 0.6530, 0.8416, 0.9592)),
+            (0.32, (0.3271, 0.6414, 0.6813, 0.9685)),
+            (0.8, (0.3436, 0.6294, 0.6597, 0.9750)),
+        )
+    ])
 
 
 def _finite_example() -> tuple[RiskVector, np.ndarray, float]:
@@ -556,10 +516,8 @@ def parse_sweep(spec: str) -> tuple[str, np.ndarray]:
 
 
 def apply_sweep_value(data: dict, name: str, value: float) -> dict:
-    if name == "gamma":
-        return dict(data, gamma=value)
-    if name == "trigger":
-        return dict(data, trigger=value)
+    if name in ("gamma", "trigger", "t"):
+        return dict(data, **{name: value})
     if name == "correlation":
         cov = np.asarray(data["cov"], dtype=float).copy()
         if cov.shape != (2, 2):
@@ -567,8 +525,6 @@ def apply_sweep_value(data: dict, name: str, value: float) -> dict:
         sig = math.sqrt(cov[0, 0] * cov[1, 1])
         cov[0, 1] = cov[1, 0] = value * sig
         return dict(data, cov=cov.tolist())
-    if name == "t":
-        return dict(data, t=value)
     raise ConfigError(f"cannot sweep parameter {name!r}")
 
 
@@ -585,10 +541,8 @@ def run_sweep(solver: str, data: dict, args) -> tuple[list[str], list[list]]:
         local_data = apply_sweep_value(data, name, float(value))
         local_args = args
         if name == "gamma":   # the sweep value must win over a --gamma flag
-            local_args = argparse.Namespace(**vars(args))
-            local_args.gamma = None
-        _, rows = runner(local_data, local_args)
-        return [[value] + row for row in rows]
+            local_args = argparse.Namespace(**dict(vars(args), gamma=None))
+        return [[value] + row for row in runner(local_data, local_args)]
 
     rows = [row for value in values for row in one(value)]
     return [name, "quantity", "key", "value"], rows
@@ -627,11 +581,12 @@ def main(argv=None) -> int:
             if args.sweep:
                 header, rows = run_sweep(args.solver, data, args)
             else:
-                header, rows = RUNNERS[args.solver](data, args)
+                header, rows = ["quantity", "key", "value"], RUNNERS[args.solver](data, args)
         write_csv(rows, header, args.out)
         return 0
-    except ConfigError as exc:
-        print(f"sysrisk: configuration error: {exc}", file=sys.stderr)
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        msg = f"missing input key: {exc}" if isinstance(exc, KeyError) else exc
+        print(f"sysrisk: configuration error: {msg}", file=sys.stderr)
         return 1
     except InfeasibleError as exc:
         print(f"sysrisk: infeasible: {exc}", file=sys.stderr)
@@ -639,9 +594,6 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"sysrisk: did not converge: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"sysrisk: configuration error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -652,61 +652,46 @@ def check_structural_properties(
     seed: int = 7,
     tol: float = 1e-6,
     scale: float = 10.0,
-    include_convexity: bool = True,
 ) -> list[PropertyReport]:
-    """Randomized audit of monotonicity, quasi-convexity and (optionally) convexity.
+    """Randomized audit of monotonicity, quasi-convexity and convexity.
 
     Pairs are drawn around the base instance; a violation is any excess above
     tol.  Reports carry the worst witness for post-mortems.
     """
     rng = np.random.default_rng(seed)
-    reports = []
     mono = PropertyReport("monotonicity", 0, 0, 0.0)
     quasi = PropertyReport("quasi-convexity", 0, 0, 0.0)
     convex = PropertyReport("convexity", 0, 0, 0.0)
     lambdas = np.array([0.25, 0.5, 0.75])
-    for _ in range(trials):
-        shape = base.positions.shape
-        x1 = RiskVector(base.space, base.positions + rng.uniform(-scale, scale, shape))
-        bump = rng.uniform(0.0, scale, shape)
-        x2 = RiskVector(base.space, x1.positions + bump)
-        r1, r2 = rho_fn(x1), rho_fn(x2)
-        mono.trials += 1
-        gap = r2 - r1            # more wealth must not cost more
-        if gap > mono.worst_violation:
-            mono.worst_violation = gap
-            if gap > tol:
-                mono.witness = {"positions": x1.positions.tolist(), "bump": bump.tolist()}
+    shape = base.positions.shape
+
+    def near() -> RiskVector:
+        return RiskVector(base.space, base.positions + rng.uniform(-scale, scale, shape))
+
+    def record(report: PropertyReport, gap: float, witness: dict) -> None:
+        report.trials += 1
         if gap > tol:
-            mono.failures += 1
-        xa = RiskVector(base.space, base.positions + rng.uniform(-scale, scale, shape))
-        xb = RiskVector(base.space, base.positions + rng.uniform(-scale, scale, shape))
+            report.failures += 1
+            if gap > report.worst_violation:
+                report.witness = witness
+        report.worst_violation = max(report.worst_violation, gap)
+
+    for _ in range(trials):
+        x1 = near()
+        bump = rng.uniform(0.0, scale, shape)
+        r1, r2 = rho_fn(x1), rho_fn(RiskVector(base.space, x1.positions + bump))
+        record(mono, r2 - r1,    # more wealth must not cost more
+               {"positions": x1.positions.tolist(), "bump": bump.tolist()})
+        xa, xb = near(), near()
         lam_mix = float(rng.choice(lambdas))
         xmix = RiskVector(
             base.space, lam_mix * xa.positions + (1.0 - lam_mix) * xb.positions
         )
         ra, rb, rmix = rho_fn(xa), rho_fn(xb), rho_fn(xmix)
-        quasi.trials += 1
-        qgap = rmix - max(ra, rb)
-        if qgap > quasi.worst_violation:
-            quasi.worst_violation = qgap
-            if qgap > tol:
-                quasi.witness = {"lambda": lam_mix, "a": xa.positions.tolist(),
-                                 "b": xb.positions.tolist()}
-        if qgap > tol:
-            quasi.failures += 1
-        if include_convexity:
-            convex.trials += 1
-            cgap = rmix - (lam_mix * ra + (1.0 - lam_mix) * rb)
-            if cgap > convex.worst_violation:
-                convex.worst_violation = cgap
-                if cgap > tol:
-                    convex.witness = {"lambda": lam_mix, "a": xa.positions.tolist(),
-                                      "b": xb.positions.tolist()}
-            if cgap > tol:
-                convex.failures += 1
-    reports.extend([mono, quasi] + ([convex] if include_convexity else []))
-    return reports
+        witness = {"lambda": lam_mix, "a": xa.positions.tolist(), "b": xb.positions.tolist()}
+        record(quasi, rmix - max(ra, rb), witness)
+        record(convex, rmix - (lam_mix * ra + (1.0 - lam_mix) * rb), witness)
+    return [mono, quasi, convex]
 
 
 @dataclass
@@ -741,9 +726,7 @@ def check_sum_reduction(
     return SumReductionReport(worst, devs, worst <= tol)
 
 
-def check_cash_invariance(
-    rho_fn: Callable[[RiskVector], float], x: RiskVector, v, tol: float = 1e-6
-) -> float:
+def check_cash_invariance(rho_fn: Callable[[RiskVector], float], x: RiskVector, v) -> float:
     """|rho(X + v) - (rho(X) - sum v)| for a deterministic per-institution v."""
     v = np.asarray(v, dtype=float)
     shifted = RiskVector(x.space, x.positions + v[:, None])

@@ -12,9 +12,9 @@ validation:
 
 * ``homogeneous_variance``     -- complete graph, identical institutions
                                   (closed form in p, N, t),
-* ``central_clearing_moments`` -- N periphery banks plus one central
-                                  counterparty (exact 4-dim linear ODE and its
-                                  O(1/N) expansion),
+* ``central_clearing_moments`` -- N institutions: one central counterparty
+                                  and N-1 periphery banks (exact 4-dim linear
+                                  ODE and its O(1/N) expansion),
 * ``heterogeneous_covariance`` -- arbitrary symmetric lending rates
                                   (Lyapunov ODE solved in the Laplacian's
                                   eigenbasis).
@@ -152,7 +152,7 @@ def central_clearing_moments(
     relax holds at every N.)
     """
     if n < 2:
-        raise ValueError("need at least two periphery banks")
+        raise ValueError("need n >= 2: the center and at least one periphery bank")
     if p <= 0.0 or t < 0.0:
         raise ValueError("p must be positive and t nonnegative")
     a = np.array(
@@ -219,7 +219,7 @@ class SampleMoments:
     steps: int
 
 
-_CHUNK = 65_536   # paths per Philox stream; fixed so results never depend on scheduling
+_CHUNK = 65_536   # paths per Philox stream keyed [seed, chunk]; changing it changes every sample
 
 
 def simulate_paths(
@@ -228,9 +228,9 @@ def simulate_paths(
     """Euler-Maruyama sample moments of X(t).
 
     Counter-based RNG: path chunk c draws from Philox(key=[seed, c]), so the
-    sample is reproducible bit for bit and independent of how chunks would be
-    scheduled across workers.  All paths share the common factor's increments
-    within a chunk-row; institutions see their own idiosyncratic noise.
+    chunk key fixes the stream and the sample is reproducible bit for bit.
+    All paths share the common factor's increments within a chunk-row;
+    institutions see their own idiosyncratic noise.
     """
     if paths < 1 or steps < 1:
         raise ValueError("paths and steps must be positive")

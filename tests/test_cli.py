@@ -362,6 +362,42 @@ def test_exit_unreadable_and_malformed_input(tmp_path):
     assert main(["--solver", "es", "--input", str(listy)]) == 1
 
 
+ORACLE_INPUT = {
+    "probabilities": [0.5, 0.5],
+    "positions": [[1.0, -4.0], [2.0, -3.0]],
+    "class": {"type": "deterministic"},
+    "aggregation": {"type": "sum"},
+}
+FINITE_INPUT = {
+    "probabilities": [0.5, 0.5],
+    "positions": [[1.0, -4.0], [2.0, -3.0]],
+    "alphas": [0.3, 0.3],
+    "gamma": 5.0,
+}
+OU_INPUT = {
+    "rates": [[0, 0.5], [0.5, 0]],
+    "sigma": [1, 1],
+    "rho_common": [0.4, 0.4],
+    "x0": [0, 0],
+}
+
+
+@pytest.mark.parametrize(
+    "solver,payload,extra",
+    [
+        ("oracle", dict(ORACLE_INPUT, acceptance={"type": "expectation-floor", "b": None}), []),
+        ("ou", dict(OU_INPUT, t=None), []),
+        ("finite", dict(FINITE_INPUT, partition=5), []),
+        ("gaussian-scen", {"mu": [0.0, 0.0], "gamma": 0.7}, ["--sweep", "correlation:0:0.5:0.5"]),
+    ],
+    ids=["null-b", "null-t", "int-partition", "correlation-sweep-without-cov"],
+)
+def test_malformed_input_is_a_configuration_error(tmp_path, capsys, solver, payload, extra):
+    src = write_json(tmp_path, "model.json", payload)
+    assert main(["--solver", solver, "--input", src, *extra]) == 1
+    assert capsys.readouterr().err.startswith("sysrisk: configuration error:")
+
+
 def test_large_budget_takes_cash_out(tmp_path):
     # gamma 2 is above sum(sigma) / sqrt(2 pi) ~ 1.596, so R > 0
     src = write_json(tmp_path, "model.json", dict(TWO_BANK, gamma=2.0))

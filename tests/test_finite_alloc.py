@@ -38,6 +38,23 @@ def test_partition_counts(n, bell):
     assert len({normalize_partition(p, n) for p in parts}) == bell
 
 
+def _restricted_growth_listing(n):
+    """Set partitions of range(n) from every restricted-growth string, sorted."""
+    strings = [(0,)]
+    for _ in range(n - 1):
+        strings = [s + (g,) for s in strings for g in range(max(s) + 2)]
+    return [
+        tuple(tuple(i for i in range(n) if s[i] == g) for g in range(max(s) + 1))
+        for s in sorted(strings)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_partition_order_is_lexicographic_restricted_growth(n):
+    # the criterion-6 tests and the benchmark draw partitions by index
+    assert list(enumerate_partitions(n)) == _restricted_growth_listing(n)
+
+
 def test_partition_enumeration_cap():
     with pytest.raises(ValueError, match="capped"):
         list(enumerate_partitions(MAX_SWEEP_INSTITUTIONS + 1))

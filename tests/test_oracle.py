@@ -6,6 +6,7 @@ implementations together.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from sysrisk.closed_forms import expected_shortfall, rho_ag, rho_deterministic
 from sysrisk import oracle
+from sysrisk.cli import main
 from sysrisk.core import (
     ConvergenceError,
     EisenbergNoe,
@@ -444,6 +446,24 @@ def test_unbounded_lp_is_reported_as_such(small_risk_vector):
     for cls in (Deterministic(), FullyFlexible()):
         with pytest.raises(ValueError, match="rho is -inf"):
             numeric_rho(small_risk_vector, cls, lam, ExpectationFloor(-1.0))
+
+
+def test_refuses_more_free_variables_than_the_cap(tmp_path, capsys):
+    # FullyFlexible on 8 x 10: (8 - 1) * 10 + 1 = 71 free variables
+    positions = np.random.default_rng(3).uniform(-10.0, 10.0, (8, 10)).round(3)
+    x = RiskVector(ScenarioSpace(np.full(10, 0.1)), positions)
+    with pytest.raises(ValueError, match="71 free variables exceed the cap of 64"):
+        numeric_rho(x, FullyFlexible(), ShortfallSum(np.zeros(8)), ExpectedShortfall(0.2))
+    src = tmp_path / "oracle.json"
+    src.write_text(json.dumps({
+        "probabilities": [0.1] * 10,
+        "positions": positions.tolist(),
+        "class": {"type": "fully-flexible"},
+        "aggregation": {"type": "shortfall-sum", "d": [0.0] * 8},
+        "acceptance": {"type": "expected-shortfall", "level": 0.2},
+    }))
+    assert main(["--solver", "oracle", "--input", str(src)]) == 1
+    assert "exceed the cap of 64" in capsys.readouterr().err
 
 
 def test_oracle_does_not_import_closed_forms():
