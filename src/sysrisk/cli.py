@@ -90,8 +90,11 @@ def write_csv(rows: list[list], header: list[str], out_path: str | None) -> None
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}")
 
 
 def load_input(path: str) -> dict:

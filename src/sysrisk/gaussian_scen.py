@@ -28,11 +28,12 @@ iteration on these 2N-2 equations plus the budget constraint.
 Everything else is closed form in these probabilities: each budget term is a
 truncated first moment of the bivariate normal (by parts, Rosenbaum 1961),
 and every derivative Newton needs is a univariate normal term of it.  So one
-evaluation, two bivariate CDF values per institution, gives the residual,
-the Jacobian, the budget and the multiplier.  The bivariate CDF itself is
-evaluated by integrating the exact single-integral reduction with
-fixed-order Gauss-Legendre panels; no library routine offers the 1e-12
-absolute accuracy wanted here.
+evaluation, a single ``binorm_cdf`` call on 2N triples (each institution in
+both states), gives the residual, the Jacobian, the budget and the
+multiplier.  The bivariate CDF itself integrates the exact single-integral
+reduction with 32-point Gauss-Legendre panels, the panels of all triples
+stacked on one node grid; no library routine offers the 1e-12 absolute
+accuracy wanted here.
 """
 from __future__ import annotations
 
@@ -45,115 +46,117 @@ from scipy.special import log_ndtr, ndtr
 from .core import ConvergenceError, GaussianSystem
 from .gaussian_det import norm_pdf, optimal_deterministic
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CUTOFF = 9.0            # |x| beyond which Phi(x) is 0/1 to < 1e-18
 _TAIL_LOG = 39.0         # e^-39 ~ 1e-17: relative size of the neglected lower tail
 BINORM_TOL = 1e-12
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 200
+_DISTRESS = np.array([[0.0], [1.0]])   # 1 in the distress row of a (calm, distress) pair
+_SIGN = 2.0 * _DISTRESS - 1.0          # -1 in the calm row: the calm state is -S < -trigger
 
 
-def _panels(f, a: float, b: float, n_panels: int) -> float:
-    """Integral of f over [a, b] with n_panels 64-point Gauss-Legendre panels."""
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xs = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(xs.ravel()).reshape(xs.shape)
-    return float((vals @ _GL_WEIGHTS) @ half)
-
-
-def binorm_cdf(h: float, k: float, r: float) -> float:
+def binorm_cdf(h, k, r):
     """P(Z1 <= h, Z2 <= k) for standard normals with correlation r.
 
-    Exact reduction  integral_{-inf}^{h} phi(x) Phi((k - r x)/sqrt(1-r^2)) dx,
+    h, k and r broadcast against each other; the result has their broadcast
+    shape, and is a float when all three are scalars.  Each element is the
+    exact reduction  integral_{-inf}^{h} phi(x) Phi((k - r x)/sqrt(1-r^2)) dx,
     taken over the smaller of h and k (the CDF is symmetric in them), and
-    integrated with Gauss-Legendre panels whose width shrinks with
+    integrated with 32-point Gauss-Legendre panels whose width shrinks with
     sqrt(1-r^2) so the inner transition stays resolved.  Absolute error
     <= 1e-12.  The lower limit moves out from -9 (to no less than -16) where
     the integrand's lower tail matters, so that probabilities far below
     1e-12, down to the 0.0 returned for h or k <= -9, stay accurate relative
     to their own size.  |r| = 1 collapses to the comonotone/antimonotone
-    closed forms.
+    closed forms, and a NaN in any argument gives NaN.  All panels of all
+    elements are evaluated on one stacked node grid.
     """
-    if math.isnan(h) or math.isnan(k) or math.isnan(r):
-        return math.nan
-    if not -1.0 - 1e-12 <= r <= 1.0 + 1e-12:
+    h, k, r = (np.asarray(v, dtype=float) for v in (h, k, r))
+    if (np.abs(r) > 1.0 + 1e-12).any():     # NaN compares False
         raise ValueError("correlation must lie in [-1, 1]")
-    r = min(1.0, max(-1.0, r))
-    if r >= 1.0 - 1e-15:
-        return float(ndtr(min(h, k)))
-    if r <= -1.0 + 1e-15:
-        return float(max(0.0, ndtr(h) + ndtr(k) - 1.0))
-    if h <= -_CUTOFF or k <= -_CUTOFF:
-        return 0.0
-    if k >= _CUTOFF:
-        return float(ndtr(h))
-    if h >= _CUTOFF:
-        return float(ndtr(k))
-    h, k = min(h, k), max(h, k)     # integrate over the lower limit
-    s = math.sqrt((1.0 - r) * (1.0 + r))
-    # below a, phi is under e^-39 of phi(h0) * Phi_inner(h0), h0 = min(h, 0),
-    # so small results keep their relative accuracy.  The inner Phi factor
-    # enters only for r > 0, where it grows to the left; there it is at
-    # least Phi(h0) because k >= h, which keeps a above -16.
-    h0 = min(h, 0.0)
-    reach = h0 * h0 + 2.0 * _TAIL_LOG
-    if r > 0.0:
-        reach -= 2.0 * float(log_ndtr((k - r * h0) / s))
-    a, b = -max(_CUTOFF, math.sqrt(reach)), min(h, _CUTOFF)
-    # inner Phi varies on the x-scale s/|r|; keep several panels per transition
-    width = min(0.5, 3.0 * s / max(abs(r), 0.1))
-    n_panels = max(1, int(math.ceil((b - a) / width)))
-
-    def f(x):
-        return norm_pdf(x) * ndtr((k - r * x) / s)
-
-    return float(min(1.0, max(0.0, _panels(f, a, b, n_panels))))
-
-
-def _inner_cdf(x: float, q: float) -> float:
-    """Phi(x / q); at q = 0 (|corr| = 1) its limit, a step that is 1/2 at x = 0."""
-    if q > 0.0:
-        return float(ndtr(x / q))
-    return 0.5 + 0.5 * float(np.sign(x))
+    zero = np.zeros(np.broadcast(h, k, r).shape) * r    # NaN where r is
+    lo, hi, r = np.minimum(h, k) + zero, np.maximum(h, k) + zero, r + zero
+    # closed forms, by precedence: r = 1 (or NaN), r = -1, then lo or hi
+    # beyond the cutoff
+    free = np.abs(r) < 1.0 - 1e-15
+    cdf_lo = ndtr(lo)
+    out = np.where(r <= -1.0 + 1e-15, np.maximum(0.0, cdf_lo + ndtr(hi) - 1.0),
+                   np.where(free & (lo <= -_CUTOFF), 0.0, cdf_lo))
+    inner = free & (lo > -_CUTOFF) & (hi < _CUTOFF)
+    if inner.any():
+        # integrate over the lower limit lo, with k = hi
+        lo, hi, r = lo[inner], hi[inner], r[inner]
+        s = np.sqrt((1.0 - r) * (1.0 + r))
+        k_s, r_s = hi / s, r / s        # the inner argument is k_s - r_s x
+        # below a, phi is under e^-39 of phi(h0) * Phi_inner(h0), h0 = min(lo, 0),
+        # so small results keep their relative accuracy.  The inner Phi factor
+        # enters only for r > 0, where it grows to the left; there it is at
+        # least Phi(h0) because hi >= lo, which keeps a above -16.
+        h0 = np.minimum(lo, 0.0)
+        reach = h0 * h0 + 2.0 * _TAIL_LOG - 2.0 * np.where(
+            r > 0.0, log_ndtr(k_s - r_s * h0), 0.0
+        )
+        a = -np.maximum(_CUTOFF, np.sqrt(reach))
+        # inner Phi varies on the x-scale s/|r|; keep several panels per transition
+        width = np.minimum(0.5, 3.0 * s / np.maximum(np.abs(r), 0.1))
+        span = lo - a
+        n_panels = np.ceil(span / width).astype(int)     # >= 1: a <= -9 < lo
+        half = 0.5 * span / n_panels
+        # one row per panel, the elements' panels stacked back to back
+        first = np.cumsum(n_panels) - n_panels
+        owner = np.repeat(np.arange(lo.size), n_panels)
+        mid = a[owner] + half[owner] * (2 * (np.arange(owner.size) - first[owner]) + 1)
+        x = mid[:, None] + half[owner, None] * _GL_NODES
+        f = norm_pdf(x) * ndtr(k_s[owner, None] - r_s[owner, None] * x)
+        # einsum rather than a BLAS product, so that no value depends on its batch
+        panel_sums = np.einsum("pn,n->p", f, _GL_WEIGHTS)
+        # positive terms, so only roundoff above 1 needs clipping
+        out[inner] = np.minimum(1.0, np.add.reduceat(panel_sums, first) * half)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(eq=False)
 class _JointGeometry:
-    """Joint law of each (X_i, S), S = sum X_i, for a Gaussian system."""
+    """Joint law of each (X_i, S), S = sum X_i, in the two states of S.
+
+    Row 0 of ``k`` and ``corr`` is the calm state {S > trigger}, row 1 the
+    distress state {S <= trigger}.  The calm state is the distress event for
+    (X_i, -S), so there k and the correlation change sign.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
-    mu_s: float
-    sigma_s: float
-    corr_is: np.ndarray     # corr(X_i, S)
+    k: np.ndarray           # (2, 1): -(trigger - E[S]) / sd(S), then +
+    corr: np.ndarray        # (2, N): -corr(X_i, S), then +
+    q: np.ndarray           # (N,): sqrt(1 - corr(X_i, S)^2)
 
     @classmethod
-    def of(cls, system: GaussianSystem) -> "_JointGeometry":
-        cov_is = system.cov.sum(axis=1)
+    def of(cls, system: GaussianSystem, trigger: float) -> "_JointGeometry":
         var_s = float(system.cov.sum())
         if var_s <= 0.0:
             raise ValueError("aggregated position has zero variance")
         sigma_s = math.sqrt(var_s)
         sigma = system.sigma
+        corr = np.clip(system.cov.sum(axis=1) / (sigma * sigma_s), -1.0, 1.0)
         return cls(
             mu=system.mu,
             sigma=sigma,
-            mu_s=float(system.mu.sum()),
-            sigma_s=sigma_s,
-            corr_is=np.clip(cov_is / (sigma * sigma_s), -1.0, 1.0),
+            k=_SIGN * (trigger - float(system.mu.sum())) / sigma_s,
+            corr=_SIGN * corr,
+            q=np.sqrt((1.0 - corr) * (1.0 + corr)),
         )
 
-    def state(self, i: int, c: float, trigger: float, calm: bool):
-        """Institution i's shortfall below c in one state of S, in closed form.
+    def state(self, c: np.ndarray, alpha: np.ndarray):
+        """Every institution's shortfall in both states of S, in closed form.
 
-        Returns (P, p, E): P = P(X_i < c, state), its density p = dP/dc, and
-        the budget term E = E[(c - X_i)^+; state], whose derivative in c is P.
-        The distress state is {S <= trigger}; the calm state {S > trigger} is
-        the same event for (X_i, -S), so k and r change sign.  With
-        h = (c - mu_i)/sigma_i, k = (trigger - mu_S)/sigma_S, r = corr(X_i, S)
-        and q = sqrt(1 - r^2), integration by parts of the truncated first
+        Institution i's threshold t is c_i in the calm state and
+        c_i - alpha_i in the distress state.  Returns (P, p, E), each with
+        rows (calm, distress) and one column per institution:
+        P = P(X_i < t, state), its density p = dP/dt, and the budget term
+        E = E[(t - X_i)^+; state], whose derivative in t is P.  With
+        h = (t - mu_i)/sigma_i and the state's k and r = ``corr``,
+        q = sqrt(1 - r^2), integration by parts of the truncated first
         moment (Rosenbaum 1961) gives
 
             P = Phi2(h, k; r),      p = phi(h) Phi((k - r h)/q) / sigma_i,
@@ -161,17 +164,18 @@ class _JointGeometry:
 
         At |r| = 1 (q = 0) the inner Phi terms are their limiting steps.  P is
         computed directly, not as a difference, so calm probabilities of
-        1e-14 keep their relative accuracy.
+        1e-14 keep their relative accuracy.  All 2N values of P come from one
+        ``binorm_cdf`` call.
         """
-        sign = -1.0 if calm else 1.0
-        h = (c - self.mu[i]) / self.sigma[i]
-        k = sign * (trigger - self.mu_s) / self.sigma_s
-        r = sign * float(self.corr_is[i])
-        q = math.sqrt((1.0 - r) * (1.0 + r))
+        k, r = self.k, self.corr
+        h = (c - _DISTRESS * alpha - self.mu) / self.sigma
         prob = binorm_cdf(h, k, r)
-        dens = norm_pdf(h) * _inner_cdf(k - r * h, q)
-        moment = h * prob + dens + r * norm_pdf(k) * _inner_cdf(h - r * k, q)
-        return prob, dens / self.sigma[i], self.sigma[i] * moment
+        x = np.array([k - r * h, h - r * k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner_h, inner_k = np.where(self.q > 0.0, ndtr(x / self.q), 0.5 + 0.5 * np.sign(x))
+        dens = norm_pdf(h) * inner_h
+        moment = h * prob + dens + r * norm_pdf(k) * inner_k
+        return prob, dens / self.sigma, self.sigma * moment
 
 
 def psi_two_state(
@@ -191,7 +195,7 @@ def psi_two_state(
     sum_i psi_i(m_i).  Accurate to binorm_cdf's 1e-12 for every system
     ``GaussianSystem`` accepts, including |corr(X_i, S)| = 1.
     """
-    geo = _JointGeometry.of(system)
+    geo = _JointGeometry.of(system, trigger)
     m = np.asarray(m, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     n = system.n
@@ -200,11 +204,7 @@ def psi_two_state(
     if abs(alpha.sum()) > 1e-10 * max(1.0, float(np.abs(alpha).max())):
         raise ValueError("alpha must sum to zero")
     d = np.zeros(n) if d is None else np.asarray(d, dtype=float)
-    total = 0.0
-    for i in range(n):
-        total += geo.state(i, d[i] - m[i], trigger, calm=True)[2]
-        total += geo.state(i, d[i] - m[i] - alpha[i], trigger, calm=False)[2]
-    return total
+    return float(geo.state(d - m, alpha)[2].sum())
 
 
 @dataclass(eq=False)
@@ -269,13 +269,13 @@ def solve_two_state(
     distress-state probabilities F_i = P(X_i < d_i - m_i - alpha_i,
     S <= trigger), and the budget.  The calm probabilities can be as small as
     1e-14 at the optimum, so only their ratios carry the condition.  Each
-    iterate is one exact evaluation, 2N bivariate CDF values, that gives the
-    residual and the analytic Jacobian together: dPsi/dm_i = -(G_i + F_i),
-    dPsi/dalpha_i = -F_i, and the probability rows differentiate through the
-    densities of ``_JointGeometry.state``.  Starts from the deterministic
-    optimum with a small alpha perturbation and halves a step (at most 8
-    times) until the residual sup-norm falls.  Returns once that is
-    <= NEWTON_TOL = 1e-8; a stalled line search, a singular system or
+    iterate is one exact evaluation, one ``binorm_cdf`` call on 2N triples,
+    that gives the residual and the analytic Jacobian together:
+    dPsi/dm_i = -(G_i + F_i), dPsi/dalpha_i = -F_i, and the probability rows
+    differentiate through the densities of ``_JointGeometry.state``.  Starts
+    from the deterministic optimum with a small alpha perturbation and halves
+    a step (at most 8 times) until the residual sup-norm falls.  Returns once
+    that is <= NEWTON_TOL = 1e-8; a stalled line search, a singular system or
     NEWTON_MAX_ITER steps raise ``ConvergenceError``.
 
     If either state lies beyond the bivariate CDF's cutoff
@@ -290,7 +290,7 @@ def solve_two_state(
         raise ValueError("need at least two institutions to transfer capital")
     d_arr = np.zeros(n) if d is None else np.asarray(d, dtype=float)
     det = optimal_deterministic(system, gamma, d_arr)   # the start; exists for every gamma > 0
-    geo = _JointGeometry.of(system)
+    geo = _JointGeometry.of(system, trigger)
     head = np.arange(n - 1)
 
     def full_alpha(a_head: np.ndarray) -> np.ndarray:
@@ -298,14 +298,9 @@ def solve_two_state(
 
     def evaluate(z: np.ndarray):
         """Residual, Jacobian and P(institution N short) at z = (m, alpha head)."""
-        c = d_arr - z[:n]
-        alpha = full_alpha(z[n:])
-        g_prob, g_dens, g_moment = np.array(
-            [geo.state(i, c[i], trigger, calm=True) for i in range(n)]
-        ).T
-        f_prob, f_dens, f_moment = np.array(
-            [geo.state(i, c[i] - alpha[i], trigger, calm=False) for i in range(n)]
-        ).T
+        (g_prob, f_prob), (g_dens, f_dens), (g_moment, f_moment) = geo.state(
+            d_arr - z[:n], full_alpha(z[n:])
+        )
         with np.errstate(divide="ignore", invalid="ignore"):   # G_i = 0 gives NaN rows
             log_calm = np.log(g_prob)
             hazard = g_dens / g_prob        # d log G_i / d c_i
@@ -342,7 +337,7 @@ def solve_two_state(
         )
 
     z = np.concatenate([det.m, np.zeros(n - 1)])
-    if abs(trigger - geo.mu_s) >= _CUTOFF * geo.sigma_s:
+    if abs(geo.k[1, 0]) >= _CUTOFF:
         return solution(z, det.residual, 0, evaluate(z)[2])
     z[n] = 1e-3
     res, jac, short = evaluate(z)

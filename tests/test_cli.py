@@ -362,6 +362,14 @@ def test_exit_unreadable_and_malformed_input(tmp_path):
     assert main(["--solver", "es", "--input", str(listy)]) == 1
 
 
+
+def test_unwritable_output_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.csv"
+    assert main(["--table", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sysrisk: configuration error: cannot write output file:")
+    assert not out.exists()
+
 ORACLE_INPUT = {
     "probabilities": [0.5, 0.5],
     "positions": [[1.0, -4.0], [2.0, -3.0]],

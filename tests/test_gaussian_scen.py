@@ -101,6 +101,60 @@ def test_binorm_marginal_recovery():
     assert binorm_cdf(1.3, 9.0, -0.6) == pytest.approx(norm.cdf(1.3), abs=1e-12)
 
 
+def test_binorm_array_contract():
+    """Arguments broadcast, scalars give a float, and one array mixing every
+    branch equals element-wise calls and the closed forms."""
+    grid = binorm_cdf(np.linspace(-2.0, 2.0, 3)[:, None], np.linspace(-1.0, 1.0, 4), 0.3)
+    assert grid.shape == (3, 4)
+    assert grid[2, 1] == binorm_cdf(2.0, -1.0 / 3.0, 0.3)
+    assert type(binorm_cdf(0.1, -0.2, 0.3)) is float
+    h = np.array([0.3, 0.3, -9.5, 0.4, -0.4, 1.2, 9.2, math.nan, 0.5, -1.0, -7.9])
+    k = np.array([-0.2, -0.2, 0.4, -9.0, 9.5, 0.2, -0.5, 0.3, 0.2, 0.7, 1.1])
+    r = np.array([1.0, -1.0, 0.5, -0.2, -0.3, 0.9, 0.0, 0.1, math.nan, 0.6, -0.8])
+    got = binorm_cdf(h, k, r)
+    np.testing.assert_array_equal(got, [binorm_cdf(*t) for t in zip(h, k, r)])
+    closed = [norm.cdf(-0.2), max(norm.cdf(0.3) + norm.cdf(-0.2) - 1.0, 0.0), 0.0, 0.0,
+              norm.cdf(-0.4)]
+    np.testing.assert_allclose(got[:5], closed, rtol=0.0, atol=1e-16)
+    assert got[6] == norm.cdf(-0.5)
+    assert np.isnan(got[7:9]).all()
+    ref = multivariate_normal(mean=[0, 0], cov=[[1, 0.6], [0.6, 1]]).cdf([-1.0, 0.7])
+    assert got[9] == pytest.approx(ref, abs=1e-9)
+    with pytest.raises(ValueError):
+        binorm_cdf(h, k, np.full(h.shape, 1.01))
+
+
+def _state_triples(seed):
+    """(system, i, x, trigger, calm, h, k, r) for each institution and state
+    of one random 2-4-bank system, with h uniform on [-8.5, 2]."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    a = rng.normal(size=(n, n)) * rng.uniform(0.3, 2.0, size=n)[:, None]
+    system = GaussianSystem(rng.uniform(-1.0, 1.0, n), a @ a.T + 0.05 * np.eye(n))
+    sd, sd_s = np.sqrt(np.diag(system.cov)), math.sqrt(system.cov.sum())
+    corr = system.cov.sum(axis=1) / (sd * sd_s)
+    trigger = system.mu.sum() + sd_s * rng.uniform(-3.0, 3.0)
+    for i in range(n):
+        for calm in (True, False):
+            h, sign = rng.uniform(-8.5, 2.0), -1.0 if calm else 1.0
+            x = system.mu[i] + sd[i] * h
+            k = sign * (trigger - system.mu.sum()) / sd_s
+            yield system, i, x, trigger, calm, h, k, sign * corr[i]
+
+
+def test_binorm_state_probabilities_relative_accuracy():
+    """Against the independent log-domain quadrature of tests/two_state_reference,
+    every calm and distress probability from 1 down to 1e-90 on 60 random
+    systems is accurate to 2e-12 of its own size."""
+    rows = [t for seed in range(60) for t in _state_triples(seed)]
+    log_ref = np.array([log_state_probability(*t[:5]) for t in rows])
+    h, k, r = np.array([t[5:] for t in rows]).T
+    keep = log_ref >= math.log(1e-90)
+    assert keep.sum() >= 300 and log_ref[keep].min() < math.log(1e-60)
+    got = binorm_cdf(h[keep], k[keep], r[keep])
+    assert got == pytest.approx(np.exp(log_ref[keep]), rel=2e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # psi_two_state
 
@@ -352,20 +406,22 @@ def test_missed_tolerance_raises(monkeypatch):
 
 @pytest.mark.parametrize("corr", sorted(TABLE_WIDE_SPREAD))
 def test_one_evaluation_per_iterate(corr, monkeypatch):
-    """Work budget: each iterate is one exact evaluation, two bivariate CDF
-    values per institution, and these solves take full Newton steps, so a
-    solve makes 2N (iterations + 1) calls.  Finite differences, line-search
-    retries or a separate budget pass would show here."""
-    calls = []
+    """Work budget: each iterate is one exact evaluation, one bivariate CDF
+    call carrying two values per institution, and these solves take full
+    Newton steps, so a solve makes iterations + 1 calls of 2N triples each.
+    Finite differences, line-search retries, a separate budget pass or a
+    call per institution would show here."""
+    sizes = []
 
-    def counted(*args):
-        calls.append(args)
-        return binorm_cdf(*args)
+    def counted(h, k, r):
+        sizes.append(np.size(h))
+        return binorm_cdf(h, k, r)
 
     monkeypatch.setattr(gaussian_scen, "binorm_cdf", counted)
     system = _system(corr * 3.0, 3.0)
     sol = solve_two_state(system, GAMMA, trigger=TRIGGER)
-    assert len(calls) == 2 * system.n * (sol.iterations + 1)
+    assert len(sizes) == sol.iterations + 1
+    assert sum(sizes) == 2 * system.n * (sol.iterations + 1)
 
 
 def test_equal_marginals_need_no_transfer():
