@@ -190,8 +190,7 @@ def run_es(data: dict, args) -> list[list]:
 def run_finite(data: dict, args) -> list[list]:
     x = _risk_vector(data)
     alphas = np.asarray(data["alphas"], dtype=float)
-    gamma = float(args.gamma if args.gamma is not None else data["gamma"])
-    sol = solve_grouped(x, alphas, gamma, data["partition"])
+    sol = solve_grouped(x, alphas, _gamma(data, args), data["partition"])
     rows = [
         ["group_constant", "{" + ",".join(str(i) for i in block) + "}", c]
         for block, c in zip(sol.partition, sol.group_constants)

@@ -104,10 +104,6 @@ class RiskVector:
     def m(self) -> int:
         return self.positions.shape[1]
 
-    def shifted(self, y) -> "RiskVector":
-        """Positions after adding an allocation (N x M or broadcastable)."""
-        return RiskVector(self.space, self.positions + np.asarray(y, dtype=float))
-
 
 @dataclass(eq=False)
 class GaussianSystem:

@@ -33,11 +33,6 @@ def norm_pdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def norm_cdf(x):
-    out = ndtr(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
 def mills_sum(r: float) -> float:
     """R*Phi(R) + phi(R): expected undershoot E[(R - Z)^+] of a standard normal."""
     return r * float(ndtr(r)) + norm_pdf(r)

@@ -1,7 +1,6 @@
 """Deterministic capital for jointly normal positions."""
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -13,7 +12,6 @@ from sysrisk.gaussian_det import (
     INV_SQRT_2PI,
     RESIDUAL_TOL,
     mills_sum,
-    norm_cdf,
     norm_pdf,
     optimal_deterministic,
     sensitivities,
@@ -29,12 +27,6 @@ TABLE_DET = {
     (1.0, 5.0, 0.7): (0.816906733, 4.084533663, 4.901440396),
     (1.0, 10.0, 0.7): (1.137866258, 11.378662582, 12.516528841),
 }
-
-
-def test_norm_cdf_against_erf():
-    for x in (-8.0, -2.5, -0.3, 0.0, 1.7, 6.0):
-        ref = 0.5 * math.erfc(-x / math.sqrt(2.0))
-        assert norm_cdf(x) == pytest.approx(ref, abs=1e-15)
 
 
 def test_mills_sum_is_the_expected_undershoot():

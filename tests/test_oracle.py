@@ -6,6 +6,8 @@ implementations together.
 """
 
 import ast
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import pytest
 
 from sysrisk.closed_forms import expected_shortfall, rho_ag, rho_deterministic
 from sysrisk import oracle
-from sysrisk.cli import main
+from sysrisk.cli import fmt, main
 from sysrisk.core import (
     ConvergenceError,
     EisenbergNoe,
@@ -448,12 +450,16 @@ def test_unbounded_lp_is_reported_as_such(small_risk_vector):
             numeric_rho(small_risk_vector, cls, lam, ExpectationFloor(-1.0))
 
 
-def test_refuses_more_free_variables_than_the_cap(tmp_path, capsys):
+def test_flexible_beyond_the_old_cap(tmp_path, capsys):
     # FullyFlexible on 8 x 10: (8 - 1) * 10 + 1 = 71 free variables
     positions = np.random.default_rng(3).uniform(-10.0, 10.0, (8, 10)).round(3)
     x = RiskVector(ScenarioSpace(np.full(10, 0.1)), positions)
-    with pytest.raises(ValueError, match="71 free variables exceed the cap of 64"):
-        numeric_rho(x, FullyFlexible(), ShortfallSum(np.zeros(8)), ExpectedShortfall(0.2))
+    # a nonpositive aggregate is accepted by ES exactly when it is zero in
+    # every scenario, so rho is the worst scenario's total shortfall
+    worst = float((-positions).sum(axis=0).max())
+    res = numeric_rho(x, FullyFlexible(), ShortfallSum(np.zeros(8)), ExpectedShortfall(0.2))
+    assert res.diagnostics["method"] == "lp"
+    assert res.rho == pytest.approx(worst, rel=1e-9)
     src = tmp_path / "oracle.json"
     src.write_text(json.dumps({
         "probabilities": [0.1] * 10,
@@ -462,8 +468,51 @@ def test_refuses_more_free_variables_than_the_cap(tmp_path, capsys):
         "aggregation": {"type": "shortfall-sum", "d": [0.0] * 8},
         "acceptance": {"type": "expected-shortfall", "level": 0.2},
     }))
-    assert main(["--solver", "oracle", "--input", str(src)]) == 1
-    assert "exceed the cap of 64" in capsys.readouterr().err
+    assert main(["--solver", "oracle", "--input", str(src)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[1] == ["rho", "", fmt(res.rho)]
+
+    alphas = np.linspace(0.1, 0.4, 8)
+    lam, crit = ExponentialLoss(alphas), ExpectationFloor(-20.0)
+    flex = numeric_rho(x, FullyFlexible(), lam, crit)
+    grand = solve_grouped(x, alphas, 20.0, (tuple(range(8)),))
+    assert flex.diagnostics["method"] == "newton-exponential"
+    assert flex.rho == pytest.approx(grand.rho, rel=1e-8, abs=1e-8)
+    assert is_acceptable(crit, x.space, aggregate_scenarios(lam, positions + flex.allocation))
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 5), (4, 2)])
+@pytest.mark.parametrize("kind", ["deterministic", "flexible", "floors", "grouped", "two-state"])
+def test_allocation_map_contract(kind, shape):
+    """vec Y = ymap @ v keeps every scenario total at price @ v, and each
+    class's own restriction, with the stated number of free variables."""
+    n, m = shape
+    rng = np.random.default_rng(n * 10 + m)
+    partition = ((0,),) if n == 1 else ((0, n - 1),) + tuple((i,) for i in range(1, n - 1))
+    indicator = (np.arange(m) % 2).astype(float)
+    cls, k = {
+        "deterministic": (Deterministic(), n),
+        "flexible": (FullyFlexible(), (n - 1) * m + 1),
+        "floors": (FloorConstrained(np.full(n, -1.0)), (n - 1) * m + 1),
+        "grouped": (Grouped(partition), sum((len(b) - 1) * m + 1 for b in partition)),
+        "two-state": (TwoStateParametric(indicator), 2 * n - 1),
+    }[kind]
+    ymap, price = oracle._allocation_map(cls, n, m)
+    assert ymap.shape == (n * m, k) and price.shape == (k,)
+    v = rng.normal(size=k)
+    y = (ymap @ v).reshape(n, m)
+    np.testing.assert_allclose(y.sum(axis=0), price @ v, rtol=0, atol=1e-12)
+    if kind == "deterministic":
+        np.testing.assert_array_equal(y, y[:, :1].repeat(m, axis=1))
+    if kind == "grouped":
+        for block in partition:
+            totals = y[list(block)].sum(axis=0)
+            np.testing.assert_allclose(totals, totals[0], rtol=0, atol=1e-12)
+    if kind == "two-state":
+        on = indicator == 1.0
+        np.testing.assert_array_equal(y[:, ~on], y[:, ~on][:, :1].repeat((~on).sum(), axis=1))
+        cash = y[:, ~on][:, 0]
+        np.testing.assert_allclose((y[:, on] - cash[:, None]).sum(axis=0), 0.0, atol=1e-12)
 
 
 def test_oracle_does_not_import_closed_forms():
