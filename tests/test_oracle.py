@@ -499,6 +499,7 @@ def test_allocation_map_contract(kind, shape):
     }[kind]
     ymap, price = oracle._allocation_map(cls, n, m)
     assert ymap.shape == (n * m, k) and price.shape == (k,)
+    assert np.linalg.matrix_rank(ymap.toarray()) == k      # no idle variable
     v = rng.normal(size=k)
     y = (ymap @ v).reshape(n, m)
     np.testing.assert_allclose(y.sum(axis=0), price @ v, rtol=0, atol=1e-12)
