@@ -28,8 +28,9 @@ import sys
 
 import numpy as np
 
-from .closed_forms import expected_shortfall, rho_ag, rho_constrained, rho_deterministic
+from .closed_forms import rho_ag, rho_constrained, rho_deterministic
 from .core import (
+    DEFAULT_ES_LEVEL,
     ConvergenceError,
     EisenbergNoe,
     ExpectationFloor,
@@ -43,6 +44,7 @@ from .core import (
     ShortfallSum,
     Sum,
     WorstCase,
+    expected_shortfall,
 )
 from .finite_alloc import solve_grouped
 from .gaussian_det import optimal_deterministic
@@ -562,8 +564,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--input", help="path to a JSON model description")
     parser.add_argument("--sweep", help="param:lo:hi:step")
     parser.add_argument("--gamma", type=float, help="acceptance budget > 0")
-    parser.add_argument("--level", type=float, default=0.05,
-                        help="expected-shortfall tail level (default 0.05)")
+    parser.add_argument("--level", type=float, default=DEFAULT_ES_LEVEL,
+                        help=f"expected-shortfall tail level (default {DEFAULT_ES_LEVEL:g})")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     return parser

@@ -337,11 +337,14 @@ class WorstCase:
     """Accept when Z >= 0 in every scenario."""
 
 
+DEFAULT_ES_LEVEL = 0.05
+
+
 @dataclass(frozen=True)
 class ExpectedShortfall:
     """Accept when ES at the given tail level is <= 0."""
 
-    level: float = 0.05
+    level: float = DEFAULT_ES_LEVEL
 
     def __post_init__(self):
         if not 0.0 < self.level < 1.0:
@@ -349,6 +352,34 @@ class ExpectedShortfall:
 
 
 AcceptanceCriterion = ExpectationFloor | WorstCase | ExpectedShortfall
+
+
+def expected_shortfall(z, probabilities, level: float = DEFAULT_ES_LEVEL) -> float:
+    """Discrete ES of outcome z at tail level q (positive = risky).
+
+    Uses the lower q-quantile v = inf{x : P(z <= x) >= q} and averages the
+    strict left tail plus the remaining quantile mass:
+
+        ES_q(z) = -(1/q) * ( sum_{z_j < v} p_j z_j + (q - P(z < v)) * v ).
+
+    For a constant outcome c this returns -c.
+    """
+    z = np.asarray(z, dtype=float)
+    p = np.asarray(probabilities, dtype=float)
+    if z.shape != p.shape or z.ndim != 1:
+        raise ValueError("z and probabilities must be 1-d of equal length")
+    if not 0.0 < level < 1.0:
+        raise ValueError("tail level must lie in (0, 1)")
+    order = np.argsort(z, kind="stable")
+    zs, ps = z[order], p[order]
+    cum = np.cumsum(ps)
+    # first index where cumulative mass reaches the tail level (float guard)
+    idx = int(np.searchsorted(cum, level - 1e-15))
+    v = zs[idx]
+    below = zs < v
+    mass_below = float(ps[below].sum())
+    tail_sum = float(ps[below] @ zs[below]) + (level - mass_below) * v
+    return -tail_sum / level
 
 
 def is_acceptable(criterion: AcceptanceCriterion, space: ScenarioSpace, z) -> bool:
@@ -359,8 +390,6 @@ def is_acceptable(criterion: AcceptanceCriterion, space: ScenarioSpace, z) -> bo
     if isinstance(criterion, WorstCase):
         return float(z.min()) >= -ACCEPT_TOL
     if isinstance(criterion, ExpectedShortfall):
-        from .closed_forms import expected_shortfall  # noqa: PLC0415 (cycle)
-
         return expected_shortfall(z, space.probabilities, criterion.level) <= ACCEPT_TOL
     raise TypeError(f"unknown acceptance criterion {criterion!r}")
 

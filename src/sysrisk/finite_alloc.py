@@ -154,11 +154,6 @@ class SweepEntry:
     rho: float
     group_constants: np.ndarray
 
-    def label(self) -> str:
-        return "".join(
-            "{" + ",".join(str(i + 1) for i in block) + "}" for block in self.partition
-        )
-
 
 def group_sweep(x: RiskVector, alphas, gamma: float) -> list[SweepEntry]:
     """Price every partition of the institutions, cheapest total first.

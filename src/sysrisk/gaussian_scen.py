@@ -49,7 +49,6 @@ from .gaussian_det import norm_pdf, optimal_deterministic
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CUTOFF = 9.0            # |x| beyond which Phi(x) is 0/1 to < 1e-18
 _TAIL_LOG = 39.0         # e^-39 ~ 1e-17: relative size of the neglected lower tail
-BINORM_TOL = 1e-12
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 200
 _DISTRESS = np.array([[0.0], [1.0]])   # 1 in the distress row of a (calm, distress) pair
@@ -204,6 +203,8 @@ def psi_two_state(
     if abs(alpha.sum()) > 1e-10 * max(1.0, float(np.abs(alpha).max())):
         raise ValueError("alpha must sum to zero")
     d = np.zeros(n) if d is None else np.asarray(d, dtype=float)
+    if d.shape != (n,):
+        raise ValueError("d must have one entry per institution")
     return float(geo.state(d - m, alpha)[2].sum())
 
 

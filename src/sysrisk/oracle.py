@@ -35,13 +35,13 @@ where moving cash from k to i raises the aggregate at no cost.
 
 ``numeric_rho_family`` turns a monotone family of expectation floors into a
 single number by bisecting on the cheapest self-consistent budget.  The
-``check_*`` helpers drive randomized structural-property audits and return
-JSON-friendly reports.
+``check_*`` helpers drive randomized structural-property audits and report
+the worst violation found.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -195,8 +195,7 @@ def _worst_case_exact(x: RiskVector, cls: AllocationClass, lam) -> RiskResult:
     """
     n, m = x.n, x.m
     if isinstance(lam, ShortfallSum):
-        d = lam.d if lam.d.shape == (n,) else np.broadcast_to(lam.d, (n,))
-        need = d[:, None] - x.positions            # N x M requirement
+        need = lam.d[:, None] - x.positions        # N x M; a length-1 d broadcasts
         if isinstance(cls, Deterministic):
             mh = need.max(axis=1)
             y = np.repeat(mh[:, None], m, axis=1)
@@ -289,58 +288,61 @@ def _exponential_newton(
 
         f(v) = price.v + beta_N (L(v) - log budget),
 
-    which is flat only along u; its minimiser moved by beta_N (L - log budget)
-    along u meets the budget exactly at the same price.  L is evaluated in
-    the log domain with softmax weights, which keeps its derivatives O(1)
-    where the raw exponentials span tens of orders of magnitude.
+    which is flat along u.  u has positive weight on every priced column of
+    the allocation map, so the other columns reach the same allocations up
+    to a multiple of u: dropping the first priced column leaves f the same
+    minimum and no flat direction (Boyd & Vandenberghe 2004, 10.1).  (The
+    first, not the last: TwoStateParametric's transfers draw on the last
+    institution, and without its cash the reduced Hessian is worse
+    conditioned.)  At the reduced minimiser, the deterministic cash
+    beta_N (L - log budget) u meets the budget exactly at its own price.  L
+    is evaluated in the log domain with softmax weights, which keeps its
+    derivatives O(1) where the raw exponentials span tens of orders of
+    magnitude.
 
     Damped Newton from v = 0 with Armijo backtracking converges from any
-    start on such a function (Boyd & Vandenberghe 2004, 9.5).  The Hessian's
-    null direction is filled with u u' tr(H)/k plus a small ridge, and a
-    step whose predicted decrease is below f's roundoff is taken whole.  The
-    loop runs to roundoff: it stops once the scaled gradient is at most
-    NEWTON_TOL and no longer halving.  The answer counts only when that
-    gradient and the moment's absolute budget gap are both at most
-    NEWTON_TOL, so it meets the floor within ACCEPT_TOL; otherwise it raises
-    ``ConvergenceError``.
+    start on such a function (Boyd & Vandenberghe 2004, 9.5).  The Hessian
+    gets a small ridge, and a step whose predicted decrease is below f's
+    roundoff is taken whole.  The loop runs to roundoff: it stops once the
+    gradient is at most NEWTON_TOL and no longer halving.  The answer counts
+    only when that gradient and the shifted moment's absolute budget gap are
+    both at most NEWTON_TOL, so it meets the floor within ACCEPT_TOL;
+    otherwise it raises ``ConvergenceError``.
     """
     ymap, price = _allocation_map(cls, x.n, x.m)
-    basis = ymap.T.toarray()                       # K x N*M, densified once
-    k = price.size
+    keep = np.arange(price.size) != np.flatnonzero(price)[0]
+    basis = ymap.tocsc()[:, keep].T.toarray()      # K-1 x N*M, densified once
+    price = price[keep]
     alpha_cells = np.repeat(lam.alpha, x.m)
     log_p = np.tile(np.log(x.space.probabilities), x.n)
     log_budget = math.log(budget)
     a_basis = basis * alpha_cells[None, :]
-    scale = max(1.0, float(np.abs(price).max()))
     beta = float((1.0 / lam.alpha).sum())
     cash = np.repeat(1.0 / (lam.alpha * beta), x.m)
-    u = np.linalg.lstsq(basis.T, cash, rcond=None)[0]
     positions = x.positions.ravel()
 
-    def state(v):
-        """(f, log moment, softmax weights over institution-scenario cells)."""
-        z = log_p - alpha_cells * (positions + v @ basis)
+    def state(v, shift=0.0):
+        """(f, log moment, softmax cell weights) at Y = v @ basis + shift * cash."""
+        z = log_p - alpha_cells * (positions + v @ basis + shift * cash)
         zmax = float(z.max())
         w = np.exp(z - zmax)
         total = float(w.sum())
         lg = zmax + math.log(total)
-        return float(price @ v) + beta * (lg - log_budget), lg, w / total
+        return float(price @ v) + shift + beta * (lg - log_budget), lg, w / total
 
-    v = np.zeros(k)
+    v = np.zeros(price.size)
     f, lg, w = state(v)
     previous = math.inf
     for iterations in range(NEWTON_MAX_ITER + 1):
         jac = -a_basis @ w
         grad = price + beta * jac
-        gap = float(np.abs(grad).max()) / scale
+        gap = float(np.abs(grad).max(initial=0.0))
         if gap <= NEWTON_TOL and gap >= 0.5 * previous:
             break
         previous = gap
         hess = beta * ((a_basis * w[None, :]) @ a_basis.T - np.outer(jac, jac))
-        trace = float(hess.trace())
-        hess += np.outer(u, u) * (trace / k)
         hess[np.diag_indices_from(hess)] += (
-            1e-8 * float(np.linalg.norm(grad)) + 1e-14 * max(1.0, trace)
+            1e-8 * float(np.linalg.norm(grad)) + 1e-14 * max(1.0, float(hess.trace()))
         )
         step = np.linalg.solve(hess, -grad)
         slope = float(grad @ step)
@@ -357,15 +359,15 @@ def _exponential_newton(
             f"after {NEWTON_MAX_ITER} steps"
         )
 
-    v = v + beta * (lg - log_budget) * u
-    residual = max(gap, budget * abs(state(v)[1] - log_budget))
+    shift = beta * (lg - log_budget)
+    residual = max(gap, budget * abs(state(v, shift)[1] - log_budget))
     if residual > NEWTON_TOL:
         raise ConvergenceError(
             f"exponential budget gap {residual:.3g} above {NEWTON_TOL:g}"
         )
-    y = (v @ basis).reshape(x.n, x.m)
+    y = (v @ basis + shift * cash).reshape(x.n, x.m)
     return RiskResult(
-        rho=float(price @ v),
+        rho=float(price @ v) + shift,
         allocation=y,
         ranking=rank_by_expected_allocation(x.space, y),
         diagnostics={
@@ -630,9 +632,6 @@ class PropertyReport:
     failures: int
     worst_violation: float
     witness: dict | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def sample_instance(seed: int, n=None, m=None, low=-100.0, high=100.0):

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from sysrisk import oracle
 from sysrisk.closed_forms import rho_ag, rho_constrained, rho_deterministic
 from sysrisk.core import (
     ExpectationFloor,
@@ -361,14 +362,20 @@ def test_criterion_6_random_instances_and_exact_worst_cases():
         assert numeric.rho == pytest.approx(analytic.rho, rel=1e-6, abs=1e-8)
 
         zeros = np.zeros(x.n)
-        det = numeric_rho(x, Deterministic(), ShortfallSum(zeros), WorstCase())
+        lam, crit = ShortfallSum(zeros), WorstCase()
+        det = numeric_rho(x, Deterministic(), lam, crit)
         assert det.rho == rho_deterministic(x)[0]
-        floored = numeric_rho(x, FloorConstrained(zeros), ShortfallSum(zeros), WorstCase())
+        floored = numeric_rho(x, FloorConstrained(zeros), lam, crit)
         assert floored.rho == pytest.approx(rho_ag(x, WorstCase()), abs=1e-12)
-        flex = numeric_rho(x, FullyFlexible(), ShortfallSum(zeros), WorstCase())
+        flex = numeric_rho(x, FullyFlexible(), lam, crit)
         assert flex.rho == pytest.approx(
             rho_constrained(x, np.full(x.n, -np.inf))[0], abs=1e-12
         )
+        # the same three as one linear program each, with no worst-case formula
+        for cls, exact in [(Deterministic(), det), (FloorConstrained(zeros), floored),
+                           (FullyFlexible(), flex)]:
+            lp = oracle._lp_solve(x, cls, lam, crit)
+            assert lp.rho == pytest.approx(exact.rho, rel=1e-9), (seed, cls)
     assert time.perf_counter() - t0 < 60.0
 
 

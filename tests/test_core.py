@@ -1,11 +1,15 @@
 """Domain types: scenario spaces, aggregations, clearing, acceptance."""
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sysrisk import core
 from sysrisk.core import (
     EisenbergNoe,
     ExpectationFloor,
@@ -280,3 +284,12 @@ def test_rank_by_expected_allocation_breaks_ties_by_index():
     y = np.array([[3.0, 3.0], [2.0, 0.0], [0.0, 2.0]])
     # E[Y] = (3, 1, 1): institutions 1 and 2 tie, the lower index goes first
     assert rank_by_expected_allocation(space, y) == (0, 1, 2)
+
+
+def test_core_makes_no_relative_import():
+    """core sits below every other module: what it runs, the expected-shortfall
+    check of is_acceptable included, comes from no solver it is used to check."""
+    tree = ast.parse(Path(core.__file__).read_text(encoding="utf-8"))
+    relative = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == []

@@ -248,6 +248,19 @@ def test_psi_decreasing_in_cash():
         )
 
 
+@pytest.mark.parametrize("d", [[0.0], 0.5, [0.0, 0.0, 0.0]],
+                         ids=["length-1", "scalar", "length-3"])
+def test_psi_rejects_d_without_one_entry_per_institution(d):
+    """psi_two_state validates d as solve_two_state does, instead of
+    broadcasting a scalar or length-1 d."""
+    system = _system(-1.5, 3.0)
+    m, alpha = np.array([0.4, 1.2]), np.array([0.5, -0.5])
+    with pytest.raises(ValueError, match="one entry per institution"):
+        psi_two_state(system, m, alpha, d, TRIGGER)
+    with pytest.raises(ValueError, match="one entry per institution"):
+        solve_two_state(system, GAMMA, d, TRIGGER)
+
+
 # ---------------------------------------------------------------------------
 # solve_two_state: frozen optima.  Tuples are (distress_1, distress_2,
 # transfer, rho), guarding against regressions at 1e-6.  They were frozen

@@ -168,6 +168,33 @@ def test_exponential_answers_are_acceptable():
             assert is_acceptable(crit, x.space, z), (seed, cls)
 
 
+@pytest.mark.parametrize("on", [0.0, 1.0], ids=["all-zero", "all-one"])
+def test_exponential_two_state_with_constant_indicator_is_deterministic(on):
+    """A constant indicator leaves TwoStateParametric's transfer columns empty
+    (all zero) or equal to differences of its cash columns (all one).  The map
+    is then rank-deficient, and the cheapest allocation is Deterministic's."""
+    for seed in range(20):
+        x, alphas, gamma = sample_instance(seed)
+        lam, crit = ExponentialLoss(alphas), ExpectationFloor(-gamma)
+        res = numeric_rho(x, TwoStateParametric(np.full(x.m, on)), lam, crit)
+        z = aggregate_scenarios(lam, x.positions + res.allocation)
+        assert is_acceptable(crit, x.space, z), seed
+        det = numeric_rho(x, Deterministic(), lam, crit)
+        assert res.rho == pytest.approx(det.rho, rel=1e-9), seed
+
+
+def test_exponential_one_institution_leaves_no_free_variable():
+    """With one institution every class holds only its cash column, the one
+    the branch drops, so rho is the closed form log(E exp(-a X) / budget) / a."""
+    x = RiskVector(ScenarioSpace(np.array([0.5, 0.5])), np.array([[1.0, -2.0]]))
+    a, budget = 0.3, 5.0
+    expected = np.log(x.space.probabilities @ np.exp(-a * x.positions[0]) / budget) / a
+    for cls in (Deterministic(), FullyFlexible(), Grouped(((0,),)),
+                TwoStateParametric(np.array([1.0, 0.0]))):
+        res = numeric_rho(x, cls, ExponentialLoss(np.array([a])), ExpectationFloor(-budget))
+        assert res.rho == pytest.approx(expected, rel=1e-12), cls
+
+
 def test_exponential_raises_when_no_path_converges(four_bank_example, monkeypatch):
     x, alphas, gamma = four_bank_example
     monkeypatch.setattr(oracle, "NEWTON_TOL", -1.0)   # unreachable
