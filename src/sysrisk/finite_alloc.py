@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+import scipy
 
 from .core import RiskVector, rank_by_expectation
 
@@ -138,7 +138,7 @@ def _block(x, alphas, log_p, beta_n, gamma, group):
     ell_g = float((np.log(a) / a).sum())
     group_sum = x.positions[members].sum(axis=0)
     c_g = ell_g + beta_g * (
-        float(logsumexp(log_p - group_sum / beta_g)) - math.log(gamma / beta_n)
+        float(scipy.special.logsumexp(log_p - group_sum / beta_g)) - math.log(gamma / beta_n)
     )
     return c_g, (ell_g - group_sum - c_g) / beta_g
 

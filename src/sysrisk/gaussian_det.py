@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
+import scipy
 
 from .core import ConvergenceError, GaussianSystem
 
@@ -35,7 +34,7 @@ def norm_pdf(x):
 
 def mills_sum(r: float) -> float:
     """R*Phi(R) + phi(R): expected undershoot E[(R - Z)^+] of a standard normal."""
-    return r * float(ndtr(r)) + norm_pdf(r)
+    return r * float(scipy.special.ndtr(r)) + norm_pdf(r)
 
 
 def solve_r(target: float) -> float:
@@ -50,7 +49,7 @@ def solve_r(target: float) -> float:
     if target <= 0.0:
         raise ValueError("target must be positive")
     hi = 0.0 if target < INV_SQRT_2PI else target + 1.0
-    r = brentq(lambda t: mills_sum(t) - target, -40.0, hi, xtol=1e-15, rtol=8.9e-16)
+    r = scipy.optimize.brentq(lambda t: mills_sum(t) - target, -40.0, hi, xtol=1e-15, rtol=8.9e-16)
     if abs(mills_sum(r) - target) > 1e-12 * max(1.0, target):
         raise ConvergenceError("root residual above 1e-12 relative")
     return float(r)
@@ -66,7 +65,7 @@ def shortfall_expectation(m: float, mu: float, sigma: float, d: float = 0.0) -> 
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     z = (d - mu - m) / sigma
-    return sigma * norm_pdf(z) - (m + mu - d) * float(ndtr(z))
+    return sigma * norm_pdf(z) - (m + mu - d) * float(scipy.special.ndtr(z))
 
 
 @dataclass(eq=False)
@@ -127,7 +126,7 @@ def sensitivities(system: GaussianSystem, gamma: float, d=None) -> Deterministic
     sigma = system.sigma
     s = float(sigma.sum())
     r = sol.r_star
-    hazard = r + norm_pdf(r) / float(ndtr(r))
+    hazard = r + norm_pdf(r) / float(scipy.special.ndtr(r))
     dr_dsigma = np.full(system.n, -hazard / s)
     dm_dsigma = np.outer(sigma / s, np.full(system.n, hazard)) - r * np.eye(system.n)
     return DeterministicSensitivities(

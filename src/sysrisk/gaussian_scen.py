@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+import scipy
 
 from .core import ConvergenceError, GaussianSystem
 from .gaussian_det import norm_pdf, optimal_deterministic
@@ -79,8 +79,8 @@ def binorm_cdf(h, k, r):
     # closed forms, by precedence: r = 1 (or NaN), r = -1, then lo or hi
     # beyond the cutoff
     free = np.abs(r) < 1.0 - 1e-15
-    cdf_lo = ndtr(lo)
-    out = np.where(r <= -1.0 + 1e-15, np.maximum(0.0, cdf_lo + ndtr(hi) - 1.0),
+    cdf_lo = scipy.special.ndtr(lo)
+    out = np.where(r <= -1.0 + 1e-15, np.maximum(0.0, cdf_lo + scipy.special.ndtr(hi) - 1.0),
                    np.where(free & (lo <= -_CUTOFF), 0.0, cdf_lo))
     inner = free & (lo > -_CUTOFF) & (hi < _CUTOFF)
     if inner.any():
@@ -94,7 +94,7 @@ def binorm_cdf(h, k, r):
         # least Phi(h0) because hi >= lo, which keeps a above -16.
         h0 = np.minimum(lo, 0.0)
         reach = h0 * h0 + 2.0 * _TAIL_LOG - 2.0 * np.where(
-            r > 0.0, log_ndtr(k_s - r_s * h0), 0.0
+            r > 0.0, scipy.special.log_ndtr(k_s - r_s * h0), 0.0
         )
         a = -np.maximum(_CUTOFF, np.sqrt(reach))
         # inner Phi varies on the x-scale s/|r|; keep several panels per transition
@@ -107,7 +107,7 @@ def binorm_cdf(h, k, r):
         owner = np.repeat(np.arange(lo.size), n_panels)
         mid = a[owner] + half[owner] * (2 * (np.arange(owner.size) - first[owner]) + 1)
         x = mid[:, None] + half[owner, None] * _GL_NODES
-        f = norm_pdf(x) * ndtr(k_s[owner, None] - r_s[owner, None] * x)
+        f = norm_pdf(x) * scipy.special.ndtr(k_s[owner, None] - r_s[owner, None] * x)
         # einsum rather than a BLAS product, so that no value depends on its batch
         panel_sums = np.einsum("pn,n->p", f, _GL_WEIGHTS)
         # positive terms, so only roundoff above 1 needs clipping
@@ -171,7 +171,8 @@ class _JointGeometry:
         prob = binorm_cdf(h, k, r)
         x = np.array([k - r * h, h - r * k])
         with np.errstate(divide="ignore", invalid="ignore"):
-            inner_h, inner_k = np.where(self.q > 0.0, ndtr(x / self.q), 0.5 + 0.5 * np.sign(x))
+            inner_h, inner_k = np.where(self.q > 0.0, scipy.special.ndtr(x / self.q),
+                                        0.5 + 0.5 * np.sign(x))
         dens = norm_pdf(h) * inner_h
         moment = h * prob + dens + r * norm_pdf(k) * inner_k
         return prob, dens / self.sigma, self.sigma * moment

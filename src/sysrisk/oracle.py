@@ -45,8 +45,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+import scipy
 
 from .core import (
     ACCEPT_TOL,
@@ -130,7 +129,7 @@ class TwoStateParametric:
 AllocationClass = Deterministic | FullyFlexible | FloorConstrained | Grouped | TwoStateParametric
 
 
-def _allocation_map(cls: AllocationClass, n: int, m: int) -> tuple[sparse.coo_array, np.ndarray]:
+def _allocation_map(cls: AllocationClass, n: int, m: int) -> tuple[scipy.sparse.coo_array, np.ndarray]:
     """Sparse N*M x K map with vec Y = ymap @ v (Y row-major), and the price of each column.
 
     Every class is a list of (members, sink) blocks.  A block has one column
@@ -175,7 +174,7 @@ def _allocation_map(cls: AllocationClass, n: int, m: int) -> tuple[sparse.coo_ar
             add(i * m + on, len(price), 1.0)
             add((n - 1) * m + on, len(price), -1.0)
             price.append(0.0)
-    ymap = sparse.coo_array(
+    ymap = scipy.sparse.coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n * m, len(price)),
     )
@@ -417,10 +416,10 @@ def _lp_solve(x: RiskVector, cls: AllocationClass, lam, criterion) -> RiskResult
     else:
         for slope, shift in _pieces(lam, n):
             s = np.repeat(slope, m)
-            scaled = sparse.coo_array((-s[ymap.row] * ymap.data, ymap.coords), shape=ymap.shape)
+            scaled = scipy.sparse.coo_array((-s[ymap.row] * ymap.data, ymap.coords), shape=ymap.shape)
             scaled.eliminate_zeros()             # a zero slope leaves no entry
             rows(s * x.positions.ravel() + np.repeat(shift, m), v=scaled,
-                 cells=sparse.eye_array(n * m))
+                 cells=scipy.sparse.eye_array(n * m))
         outcome, cell_bound = column_sums, (None, None)
     if isinstance(cls, FloorConstrained):
         finite = np.repeat(np.isfinite(cls.floors), m)
@@ -431,7 +430,7 @@ def _lp_solve(x: RiskVector, cls: AllocationClass, lam, criterion) -> RiskResult
         rows(np.zeros(m), cells=-outcome)
     elif es:
         rows(0.0, c=np.ones((1, 1)), w=p[None, :] / criterion.level)
-        rows(np.zeros(m), cells=-outcome, c=-np.ones((m, 1)), w=-sparse.eye_array(m))
+        rows(np.zeros(m), cells=-outcome, c=-np.ones((m, 1)), w=-scipy.sparse.eye_array(m))
     else:  # pragma: no cover
         raise TypeError(f"unknown acceptance criterion {criterion!r}")
     bounds = [(None, None)] * k + [cell_bound] * (n * m)
@@ -439,11 +438,12 @@ def _lp_solve(x: RiskVector, cls: AllocationClass, lam, criterion) -> RiskResult
         bounds += [(None, None)] + [(0.0, None)] * m
     cost = np.zeros(len(bounds))
     cost[:k] = price
-    a_ub = sparse.block_array(
-        [[None if blk is None else sparse.coo_array(blk) for blk in r] for r in grid],
+    a_ub = scipy.sparse.block_array(
+        [[None if blk is None else scipy.sparse.coo_array(blk) for blk in r] for r in grid],
         format="csr",
     )
-    out = linprog(cost, A_ub=a_ub, b_ub=np.concatenate(rhs), bounds=bounds, method="highs")
+    out = scipy.optimize.linprog(cost, A_ub=a_ub, b_ub=np.concatenate(rhs), bounds=bounds,
+                                 method="highs")
     if out.status == 2:
         raise InfeasibleError(f"no acceptable allocation: {out.message}")
     if out.status == 3:
@@ -464,12 +464,12 @@ def _lp_solve(x: RiskVector, cls: AllocationClass, lam, criterion) -> RiskResult
     )
 
 
-def _kron_eye(a: np.ndarray, m: int) -> sparse.coo_array:
+def _kron_eye(a: np.ndarray, m: int) -> scipy.sparse.coo_array:
     """kron(a, I_m) from index arrays: entry (r m + j, c m + j) is a[r, c]."""
     r, c = np.nonzero(a)
     cells = np.arange(m)
     rows, cols = (r[:, None] * m + cells).ravel(), (c[:, None] * m + cells).ravel()
-    return sparse.coo_array((np.repeat(a[r, c], m), (rows, cols)),
+    return scipy.sparse.coo_array((np.repeat(a[r, c], m), (rows, cols)),
                             shape=(a.shape[0] * m, a.shape[1] * m))
 
 

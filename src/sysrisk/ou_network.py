@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+import scipy
 
 from .core import GaussianSystem, _as_float_array
 
@@ -167,7 +167,7 @@ def central_clearing_moments(
     aug = np.zeros((5, 5))
     aug[:4, :4] = p * a
     aug[:4, 4] = b
-    y = expm(aug * t)[:4, 4]
+    y = scipy.linalg.expm(aug * t)[:4, 4]
     relax = -math.expm1(-2.0 * p * t) / (2.0 * p)
     idio = sigma**2 * (1.0 - rho**2)
     lin = sigma**2 + 2.0 * sigma * sigma_c * rho * rho_c - 3.0 * sigma**2 * rho**2
@@ -229,8 +229,8 @@ def simulate_paths(
 
     Counter-based RNG: path chunk c draws from Philox(key=[seed, c]), so the
     chunk key fixes the stream and the sample is reproducible bit for bit.
-    All paths share the common factor's increments within a chunk-row;
-    institutions see their own idiosyncratic noise.
+    Each path draws one common-factor increment per step, which all of its
+    institutions share; each institution adds its own idiosyncratic noise.
     """
     if paths < 1 or steps < 1:
         raise ValueError("paths and steps must be positive")

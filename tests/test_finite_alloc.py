@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
-from sysrisk import finite_alloc
 from sysrisk.core import RiskVector, ScenarioSpace
 from sysrisk.finite_alloc import (
     MAX_SWEEP_INSTITUTIONS,
@@ -329,13 +329,13 @@ def test_group_sweep_solves_each_block_once(monkeypatch):
     # one logsumexp per block constant: 2^n - 1 blocks, not one per group of
     # every partition (151 at n = 5)
     calls = []
-    real = finite_alloc.logsumexp
+    real = scipy.special.logsumexp
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(finite_alloc, "logsumexp", counted)
+    monkeypatch.setattr(scipy.special, "logsumexp", counted)
     n = 5
     x, alphas, gamma = _sweep_instance(5, n)
     assert len(group_sweep(x, alphas, gamma)) == 52
