@@ -53,7 +53,13 @@ from .gaussian_det import (
     sensitivities,
     solve_r,
 )
-from .gaussian_scen import TwoStateSolution, binorm_cdf, psi_two_state, solve_two_state
+from .gaussian_scen import (
+    TwoStateSolution,
+    binorm_cdf,
+    psi_two_state,
+    solve_two_state,
+    solve_two_state_batch,
+)
 from .ou_network import (
     NetworkModel,
     central_clearing_moments,
@@ -136,6 +142,7 @@ __all__ = [
     "solve_grouped",
     "solve_r",
     "solve_two_state",
+    "solve_two_state_batch",
     "spectral_radius",
     "three_bank_example",
 ]

@@ -48,7 +48,7 @@ from .core import (
 )
 from .finite_alloc import solve_grouped
 from .gaussian_det import optimal_deterministic
-from .gaussian_scen import solve_two_state
+from .gaussian_scen import solve_two_state, solve_two_state_batch
 from .ou_network import NetworkModel, heterogeneous_covariance, simulate_paths
 from .oracle import (
     Deterministic,
@@ -156,13 +156,43 @@ def run_gaussian_det(data: dict, args) -> list[list]:
     return rows
 
 
-def run_gaussian_scen(data: dict, args) -> list[list]:
-    sol = solve_two_state(_gaussian_system(data), _gamma(data, args), data.get("d"),
-                          float(data.get("trigger", 0.0)))
+def _two_state_problem(data: dict, args) -> tuple:
+    return (_gaussian_system(data), _gamma(data, args), data.get("d"),
+            float(data.get("trigger", 0.0)))
+
+
+def _two_state_rows(sol) -> list[list]:
     rows = _indexed("m", sol.m) + _indexed("alpha", sol.alpha)
     rows += [["rho", "", sol.rho], ["lambda", "", sol.lam],
              ["residual", "", sol.residual], ["iterations", "", float(sol.iterations)]]
     return rows
+
+
+def run_gaussian_scen(data: dict, args) -> list[list]:
+    return _two_state_rows(solve_two_state(*_two_state_problem(data, args)))
+
+
+def _solve_in_order(points, prepare) -> list:
+    """Two-state solutions of ``points``, solved as one batch.
+
+    ``prepare(point)`` returns the point's (system, gamma, d, trigger).  The
+    first point that fails, in order, raises its error, as a loop that
+    prepared and solved one point at a time would: no point after a failed
+    preparation is prepared.
+    """
+    problems, failure = [], None
+    try:
+        for point in points:
+            problems.append(prepare(point))
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:   # what main reports
+        failure = exc
+    solutions = solve_two_state_batch(problems)
+    for sol in solutions:
+        if isinstance(sol, Exception):
+            raise sol
+    if failure is not None:
+        raise failure
+    return solutions
 
 
 def run_worst_case(data: dict, args) -> list[list]:
@@ -317,12 +347,18 @@ _GAUSS_QUANTITIES = ("m1_det", "m2_det", "rho_det", "m1", "m2", "alpha", "rho")
 
 def _gauss_table(cases) -> tuple[list[str], list[list]]:
     """Tables 1-3: two banks, gamma 0.7, trigger 2.  Each case is
-    (label, cov12, sigma2, reference cells in _GAUSS_QUANTITIES order)."""
-    rows = []
-    for label, cov12, sigma2, refs in cases:
+    (label, cov12, sigma2, reference cells in _GAUSS_QUANTITIES order); the
+    cases' two-state solves run as one batch."""
+    dets = []
+
+    def prepare(case):
+        _, cov12, sigma2, _ = case
         system = GaussianSystem(np.zeros(2), np.array([[1.0, cov12], [cov12, sigma2**2]]))
-        det = optimal_deterministic(system, 0.7)
-        scen = solve_two_state(system, 0.7, trigger=2.0)
+        dets.append(optimal_deterministic(system, 0.7))
+        return system, 0.7, None, 2.0
+
+    rows = []
+    for (label, _, _, refs), det, scen in zip(cases, dets, _solve_in_order(cases, prepare)):
         distress = scen.distress_allocation   # the reference tables quote this state
         computed = (det.m[0], det.m[1], det.rho, distress[0], distress[1],
                     scen.transfer_size, scen.rho)
@@ -539,16 +575,18 @@ def run_sweep(solver: str, data: dict, args) -> tuple[list[str], list[list]]:
         raise ConfigError(
             f"solver {solver} cannot sweep {name!r} (allowed: {allowed or 'none'})"
         )
-    runner = RUNNERS[solver]
+    if name == "gamma":   # the sweep value must win over a --gamma flag
+        args = argparse.Namespace(**dict(vars(args), gamma=None))
 
-    def one(value: float) -> list[list]:
-        local_data = apply_sweep_value(data, name, float(value))
-        local_args = args
-        if name == "gamma":   # the sweep value must win over a --gamma flag
-            local_args = argparse.Namespace(**dict(vars(args), gamma=None))
-        return [[value] + row for row in runner(local_data, local_args)]
+    def point(value) -> dict:
+        return apply_sweep_value(data, name, float(value))
 
-    rows = [row for value in values for row in one(value)]
+    if solver == "gaussian-scen":   # every point's solve in one batch
+        solutions = _solve_in_order(values, lambda v: _two_state_problem(point(v), args))
+        per_value = [_two_state_rows(sol) for sol in solutions]
+    else:
+        per_value = [RUNNERS[solver](point(value), args) for value in values]
+    rows = [[value] + row for value, point_rows in zip(values, per_value) for row in point_rows]
     return [name, "quantity", "key", "value"], rows
 
 

@@ -34,21 +34,30 @@ multiplier.  The bivariate CDF itself integrates the exact single-integral
 reduction with 32-point Gauss-Legendre panels, the panels of all triples
 stacked on one node grid; no library routine offers the 1e-12 absolute
 accuracy wanted here.
+
+``solve_two_state_batch`` solves many independent systems of the same N with
+one Newton loop: each round evaluates every system still iterating in one
+``binorm_cdf`` call and takes their steps in one stacked linear solve, while
+each system keeps its own line search and stop.  A kernel call costs mostly
+fixed dispatch, so a sweep of 37 points costs about as many calls as its
+longest single solve.  ``solve_two_state`` is the batch of one.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy
 
 from .core import ConvergenceError, GaussianSystem
-from .gaussian_det import norm_pdf, optimal_deterministic
+from .gaussian_det import INV_SQRT_2PI, norm_pdf, optimal_deterministic
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CUTOFF = 9.0            # |x| beyond which Phi(x) is 0/1 to < 1e-18
 _TAIL_LOG = 39.0         # e^-39 ~ 1e-17: relative size of the neglected lower tail
+_PANEL_BLOCK = 256       # panels per block of the node grid: 64 KiB per array of nodes
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 200
 _DISTRESS = np.array([[0.0], [1.0]])   # 1 in the distress row of a (calm, distress) pair
@@ -69,7 +78,9 @@ def binorm_cdf(h, k, r):
     1e-12, down to the 0.0 returned for h or k <= -9, stay accurate relative
     to their own size.  |r| = 1 collapses to the comonotone/antimonotone
     closed forms, and a NaN in any argument gives NaN.  All panels of all
-    elements are evaluated on one stacked node grid.
+    elements are evaluated on one stacked node grid, 256 panels at a time,
+    so a large batch's grid is never in memory whole; no value depends on
+    the block it falls in.
     """
     h, k, r = (np.asarray(v, dtype=float) for v in (h, k, r))
     if (np.abs(r) > 1.0 + 1e-12).any():     # NaN compares False
@@ -106,10 +117,14 @@ def binorm_cdf(h, k, r):
         first = np.cumsum(n_panels) - n_panels
         owner = np.repeat(np.arange(lo.size), n_panels)
         mid = a[owner] + half[owner] * (2 * (np.arange(owner.size) - first[owner]) + 1)
-        x = mid[:, None] + half[owner, None] * _GL_NODES
-        f = norm_pdf(x) * scipy.special.ndtr(k_s[owner, None] - r_s[owner, None] * x)
-        # einsum rather than a BLAS product, so that no value depends on its batch
-        panel_sums = np.einsum("pn,n->p", f, _GL_WEIGHTS)
+        panel_sums = np.empty(owner.size)
+        for rows in range(0, owner.size, _PANEL_BLOCK):
+            rows = slice(rows, rows + _PANEL_BLOCK)
+            o = owner[rows]
+            x = mid[rows, None] + half[o, None] * _GL_NODES
+            f = norm_pdf(x) * scipy.special.ndtr(k_s[o, None] - r_s[o, None] * x)
+            # einsum rather than a BLAS product, so that no value depends on its batch
+            panel_sums[rows] = np.einsum("pn,n->p", f, _GL_WEIGHTS)
         # positive terms, so only roundoff above 1 needs clipping
         out[inner] = np.minimum(1.0, np.add.reduceat(panel_sums, first) * half)
     return float(out) if out.ndim == 0 else out
@@ -119,62 +134,86 @@ def binorm_cdf(h, k, r):
 class _JointGeometry:
     """Joint law of each (X_i, S), S = sum X_i, in the two states of S.
 
-    Row 0 of ``k`` and ``corr`` is the calm state {S > trigger}, row 1 the
-    distress state {S <= trigger}.  The calm state is the distress event for
-    (X_i, -S), so there k and the correlation change sign.
+    Every field has a leading batch axis, one entry per system; the systems
+    of a batch share N.  Row 0 of the middle axis of ``k`` and ``corr`` is the
+    calm state {S > trigger}, row 1 the distress state {S <= trigger}.  The
+    calm state is the distress event for (X_i, -S), so there k and the
+    correlation change sign.
     """
 
-    mu: np.ndarray
-    sigma: np.ndarray
-    k: np.ndarray           # (2, 1): -(trigger - E[S]) / sd(S), then +
-    corr: np.ndarray        # (2, N): -corr(X_i, S), then +
-    q: np.ndarray           # (N,): sqrt(1 - corr(X_i, S)^2)
+    mu: np.ndarray          # (B, 1, N)
+    sigma: np.ndarray       # (B, 1, N)
+    k: np.ndarray           # (B, 2, 1): -(trigger - E[S]) / sd(S), then +
+    corr: np.ndarray        # (B, 2, N): -corr(X_i, S), then +
+    q: np.ndarray           # (B, 1, N): sqrt(1 - corr(X_i, S)^2), 1 where that is 0
+    steps: np.ndarray       # (B, 1, N): |corr(X_i, S)| = 1, where q is 0
+    corr_k: np.ndarray      # (B, 2, N): corr * k
+    corr_pdf_k: np.ndarray  # (B, 2, N): corr * phi(k)
+
+    def __post_init__(self):
+        self.degenerate = bool(self.steps.any())
 
     @classmethod
     def of(cls, system: GaussianSystem, trigger: float) -> "_JointGeometry":
+        """The batch of one system."""
         var_s = float(system.cov.sum())
         if var_s <= 0.0:
             raise ValueError("aggregated position has zero variance")
         sigma_s = math.sqrt(var_s)
         sigma = system.sigma
         corr = np.clip(system.cov.sum(axis=1) / (sigma * sigma_s), -1.0, 1.0)
+        q = np.sqrt((1.0 - corr) * (1.0 + corr))
+        k = _SIGN * (trigger - float(system.mu.sum())) / sigma_s
+        r = _SIGN * corr
         return cls(
-            mu=system.mu,
-            sigma=sigma,
-            k=_SIGN * (trigger - float(system.mu.sum())) / sigma_s,
-            corr=_SIGN * corr,
-            q=np.sqrt((1.0 - corr) * (1.0 + corr)),
+            mu=system.mu[None, None],
+            sigma=sigma[None, None],
+            k=k[None],
+            corr=r[None],
+            q=np.where(q > 0.0, q, 1.0)[None, None],
+            steps=(q == 0.0)[None, None],
+            corr_k=(r * k)[None],
+            corr_pdf_k=(r * norm_pdf(k))[None],
         )
+
+    @classmethod
+    def stack(cls, geometries) -> "_JointGeometry":
+        if len(geometries) == 1:
+            return geometries[0]
+        return cls(*(np.concatenate([getattr(g, f.name) for g in geometries])
+                     for f in fields(cls)))
+
+    def take(self, rows) -> "_JointGeometry":
+        return _JointGeometry(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     def state(self, c: np.ndarray, alpha: np.ndarray):
         """Every institution's shortfall in both states of S, in closed form.
 
-        Institution i's threshold t is c_i in the calm state and
-        c_i - alpha_i in the distress state.  Returns (P, p, E), each with
-        rows (calm, distress) and one column per institution:
-        P = P(X_i < t, state), its density p = dP/dt, and the budget term
-        E = E[(t - X_i)^+; state], whose derivative in t is P.  With
-        h = (t - mu_i)/sigma_i and the state's k and r = ``corr``,
-        q = sqrt(1 - r^2), integration by parts of the truncated first
-        moment (Rosenbaum 1961) gives
+        c and alpha are (B, N).  Institution i's threshold t is c_i in the
+        calm state and c_i - alpha_i in the distress state.  Returns (P, p, E),
+        each (B, 2, N) with middle rows (calm, distress): P = P(X_i < t, state),
+        its density p = dP/dt, and the budget term E = E[(t - X_i)^+; state],
+        whose derivative in t is P.  With h = (t - mu_i)/sigma_i and the
+        state's k and r = ``corr``, q = sqrt(1 - r^2), integration by parts
+        of the truncated first moment (Rosenbaum 1961) gives
 
             P = Phi2(h, k; r),      p = phi(h) Phi((k - r h)/q) / sigma_i,
             E = sigma_i [h P + phi(h) Phi((k - r h)/q) + r phi(k) Phi((h - r k)/q)].
 
         At |r| = 1 (q = 0) the inner Phi terms are their limiting steps.  P is
         computed directly, not as a difference, so calm probabilities of
-        1e-14 keep their relative accuracy.  All 2N values of P come from one
+        1e-14 keep their relative accuracy.  All 2BN values of P come from one
         ``binorm_cdf`` call.
         """
         k, r = self.k, self.corr
-        h = (c - _DISTRESS * alpha - self.mu) / self.sigma
+        h = (c[:, None] - _DISTRESS * alpha[:, None] - self.mu) / self.sigma
         prob = binorm_cdf(h, k, r)
-        x = np.array([k - r * h, h - r * k])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner_h, inner_k = np.where(self.q > 0.0, scipy.special.ndtr(x / self.q),
-                                        0.5 + 0.5 * np.sign(x))
-        dens = norm_pdf(h) * inner_h
-        moment = h * prob + dens + r * norm_pdf(k) * inner_k
+        x = np.array([k - r * h, h - self.corr_k])
+        inner = scipy.special.ndtr(x / self.q)
+        if self.degenerate:
+            inner = np.where(self.steps, 0.5 + 0.5 * np.sign(x), inner)
+        dens = INV_SQRT_2PI * np.exp(-0.5 * h * h) * inner[0]
+        moment = h * prob + dens + self.corr_pdf_k * inner[1]
         return prob, dens / self.sigma, self.sigma * moment
 
 
@@ -206,7 +245,7 @@ def psi_two_state(
     d = np.zeros(n) if d is None else np.asarray(d, dtype=float)
     if d.shape != (n,):
         raise ValueError("d must have one entry per institution")
-    return float(geo.state(d - m, alpha)[2].sum())
+    return float(geo.state((d - m)[None], alpha[None])[2][0].sum())
 
 
 @dataclass(eq=False)
@@ -284,84 +323,204 @@ def solve_two_state(
     (|trigger - E[S]| >= 9 sd(S)), its probabilities are zero in floating
     point, the transfer is not identified, and the solver returns the
     deterministic optimum with alpha = 0 and no iterations.
+
+    This is ``solve_two_state_batch`` on one problem.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    n = system.n
-    if n < 2:
-        raise ValueError("need at least two institutions to transfer capital")
-    d_arr = np.zeros(n) if d is None else np.asarray(d, dtype=float)
-    det = optimal_deterministic(system, gamma, d_arr)   # the start; exists for every gamma > 0
-    geo = _JointGeometry.of(system, trigger)
+    (outcome,) = solve_two_state_batch([(system, gamma, d, trigger)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def solve_two_state_batch(problems) -> list:
+    """``solve_two_state`` on each (system, gamma, d, trigger) of ``problems``.
+
+    Returns one entry per problem, in order: its ``TwoStateSolution``, or the
+    exception ``solve_two_state`` raises on it.  The problems that share N run
+    one damped Newton loop in lockstep.  Each round makes one ``binorm_cdf``
+    call on the 2N triples of every system still iterating and one stacked
+    ``np.linalg.solve`` for the systems taking a step.  Every system keeps its
+    own line search, count and stop, so it follows the same iterates, to the
+    bit, as when solved alone; a system that fails leaves the others alone.
+    """
+    outcomes: list = [None] * len(problems)
+    groups: dict[int, list] = {}
+    for index, (system, gamma, d, trigger) in enumerate(problems):
+        try:
+            if gamma <= 0.0:
+                raise ValueError("gamma must be positive")
+            n = system.n
+            if n < 2:
+                raise ValueError("need at least two institutions to transfer capital")
+            d_arr = np.zeros(n) if d is None else np.asarray(d, dtype=float)
+            det = optimal_deterministic(system, gamma, d_arr)   # the start; exists for every gamma > 0
+            geo = _JointGeometry.of(system, trigger)
+        except (ValueError, TypeError, ConvergenceError) as exc:
+            outcomes[index] = exc
+            continue
+        groups.setdefault(n, []).append((index, gamma, d_arr, trigger, det, geo))
+    for group in groups.values():
+        _newton(group, outcomes)
+    return outcomes
+
+
+@functools.cache
+def _jacobian_index(n: int) -> np.ndarray:
+    """Where each Jacobian entry sits in ``_evaluate``'s value table.
+
+    Columns are m_0..m_{N-1}, then alpha_0..alpha_{N-2}; dc_i/dm_i = -1.  The
+    table holds, in this order: 0, -hazard, hazard, -F', F' (N each, F' the
+    distress densities), -F'_{N-1} - F'_i (N-1), -(G + F) (N) and
+    F_{N-1} - F_i (N-1).
+    """
+    neg_hazard, hazard, neg_dens, dens = 1, 1 + n, 1 + 2 * n, 1 + 3 * n
+    cross, neg_short, flow = 1 + 4 * n, 5 * n, 6 * n
     head = np.arange(n - 1)
+    rows = n - 1 + head
+    index = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.intp)
+    index[head, head] = neg_hazard + head
+    index[head, n - 1] = hazard + n - 1
+    index[rows, head] = neg_dens + head
+    index[rows, n - 1] = dens + n - 1
+    index[rows, n:] = neg_dens + n - 1      # alpha_{N-1} = -sum of the head
+    index[rows, n + head] = cross + head
+    index[-1, :n] = neg_short + np.arange(n)
+    index[-1, n:] = flow + head
+    return index
 
-    def full_alpha(a_head: np.ndarray) -> np.ndarray:
-        return np.append(a_head, -a_head.sum())
 
-    def evaluate(z: np.ndarray):
-        """Residual, Jacobian and P(institution N short) at z = (m, alpha head)."""
-        (g_prob, f_prob), (g_dens, f_dens), (g_moment, f_moment) = geo.state(
-            d_arr - z[:n], full_alpha(z[n:])
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):   # G_i = 0 gives NaN rows
-            log_calm = np.log(g_prob)
-            hazard = g_dens / g_prob        # d log G_i / d c_i
-            res = np.concatenate([
-                log_calm[:-1] - log_calm[-1],
-                f_prob[:-1] - f_prob[-1],
-                [g_moment.sum() + f_moment.sum() - gamma],
-            ])
-        # columns: m_0..m_{N-1}, then alpha_0..alpha_{N-2}; dc_i/dm_i = -1
-        jac = np.zeros((2 * n - 1, 2 * n - 1))
-        jac[head, head] = -hazard[:-1]
-        jac[head, n - 1] = hazard[-1]
-        rows = n - 1 + head
-        jac[rows, head] = -f_dens[:-1]
-        jac[rows, n - 1] = f_dens[-1]
-        jac[rows, n:] = -f_dens[-1]          # alpha_{N-1} = -sum of the head
-        jac[rows, n + head] -= f_dens[:-1]
-        jac[-1, :n] = -(g_prob + f_prob)
-        jac[-1, n:] = f_prob[-1] - f_prob[:-1]
-        return res, jac, g_prob[-1] + f_prob[-1]
+def _evaluate(geo: _JointGeometry, d: np.ndarray, gamma: np.ndarray, z: np.ndarray):
+    """Residuals, Jacobians and P(institution N short) at each row z = (m, alpha head)."""
+    n = d.shape[1]
+    head = z[:, n:]
+    alpha = np.concatenate([head, -head.sum(axis=1, keepdims=True)], axis=1)
+    prob, dens, moment = geo.state(d - z[:, :n], alpha)
+    g_prob, f_prob, f_dens = prob[:, 0], prob[:, 1], dens[:, 1]
+    budget = moment.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):   # G_i = 0 gives NaN rows
+        log_calm = np.log(g_prob)
+        hazard = dens[:, 0] / g_prob        # d log G_i / d c_i
+        res = np.concatenate([
+            log_calm[:, :-1] - log_calm[:, -1:],
+            f_prob[:, :-1] - f_prob[:, -1:],
+            (budget[:, 0] + budget[:, 1] - gamma)[:, None],
+        ], axis=1)
+    short = g_prob + f_prob
+    neg_dens = -f_dens
+    table = np.concatenate([
+        np.zeros((len(z), 1)), -hazard, hazard, neg_dens, f_dens,
+        neg_dens[:, -1:] - f_dens[:, :-1], -short, f_prob[:, -1:] - f_prob[:, :-1],
+    ], axis=1)
+    return res, table[:, _jacobian_index(n)], short[:, -1]
 
-    def solution(z, residual, iterations, short):
-        return TwoStateSolution(
-            m=z[:n],
-            alpha=full_alpha(z[n:]),
-            rho=float(z[:n].sum()),
-            lam=-1.0 / short if short > 1e-14 else math.nan,
-            trigger=trigger,
-            gamma=gamma,
-            d=d_arr,
+
+def _newton_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(jac, -res[..., None])[..., 0]
+
+
+_SHORTEST_STEP = 0.5 ** 8     # a step is halved at most 8 times
+
+
+def _newton(group, outcomes: list) -> None:
+    """Run the systems of ``group``, which share N, in lockstep; fill their outcomes.
+
+    A row leaves the arrays once its system finishes or fails, so each round
+    evaluates only the systems still iterating.  The per-row counters are
+    lists: a round's decisions are a few scalar comparisons per row.
+    """
+    index, gammas, ds, triggers, dets, geos = zip(*group)
+    n = ds[0].size
+    ids = list(range(len(group)))
+    d = np.array(ds)
+    gamma = np.array(gammas, dtype=float)
+    geo = _JointGeometry.stack(geos)
+    z = np.zeros((len(group), 2 * n - 1))
+    z[:, :n] = [det.m for det in dets]
+    cutoff = (np.abs(geo.k[:, 1, 0]) >= _CUTOFF).tolist()
+    for row, beyond in enumerate(cutoff):
+        if not beyond:
+            z[row, n] = 1e-3
+    res, jac, short = _evaluate(geo, d, gamma, z)
+    best = np.abs(res).max(axis=1).tolist()
+    iterations = [0] * len(group)
+    fraction = np.ones((len(group), 1))       # of each row's current step
+    step = np.zeros_like(z)
+    gone = [False] * len(group)
+
+    def finish(row, residual):
+        gone[row] = True
+        g = ids[row]
+        head = z[row, n:]
+        outcomes[index[g]] = TwoStateSolution(
+            m=z[row, :n].copy(),
+            alpha=np.append(head, -head.sum()),
+            rho=float(z[row, :n].sum()),
+            lam=-1.0 / short[row] if short[row] > 1e-14 else math.nan,
+            trigger=triggers[g],
+            gamma=gammas[g],
+            d=ds[g],
             residual=residual,
-            iterations=iterations,
+            iterations=iterations[row],
             converged=True,
         )
 
-    z = np.concatenate([det.m, np.zeros(n - 1)])
-    if abs(geo.k[1, 0]) >= _CUTOFF:
-        return solution(z, det.residual, 0, evaluate(z)[2])
-    z[n] = 1e-3
-    res, jac, short = evaluate(z)
-    best = float(np.abs(res).max())
-    iterations = 0
-    while not best <= NEWTON_TOL:       # a NaN residual iterates, then raises
-        if iterations == NEWTON_MAX_ITER:
-            raise ConvergenceError(
-                f"two-state Newton reached {NEWTON_MAX_ITER} steps at residual {best:.3g}"
-            )
-        iterations += 1
+    def fail(row, message):
+        gone[row] = True
+        outcomes[index[ids[row]]] = ConvergenceError(message)
+
+    for row, beyond in enumerate(cutoff):
+        if beyond:
+            finish(row, dets[row].residual)
+    moved = [not beyond for beyond in cutoff]
+    while True:
+        # a row whose point just moved stops if it has converged, else steps
+        stepping = []
+        for row, moved_row in enumerate(moved):
+            if not moved_row:
+                continue
+            if best[row] <= NEWTON_TOL:
+                finish(row, best[row])
+            elif iterations[row] == NEWTON_MAX_ITER:
+                fail(row, f"two-state Newton reached {NEWTON_MAX_ITER} steps "
+                          f"at residual {best[row]:.3g}")
+            else:
+                iterations[row] += 1
+                fraction[row] = 1.0
+                stepping.append(row)
         try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("two-state first-order system is singular") from None
-        for scale in 0.5 ** np.arange(9):
-            cand = z + scale * step
-            cres, cjac, cshort = evaluate(cand)
-            cbest = float(np.abs(cres).max())
-            if cbest < best:
-                z, res, jac, short, best = cand, cres, cjac, cshort, cbest
-                break
-        else:
-            raise ConvergenceError(f"two-state Newton stalled at residual {best:.3g}")
-    return solution(z, best, iterations, short)
+            if len(stepping) == len(ids):
+                step = _newton_step(jac, res)
+            elif stepping:
+                step[stepping] = _newton_step(jac[stepping], res[stepping])
+        except np.linalg.LinAlgError:   # find the singular rows; the others step
+            for row in stepping:
+                try:
+                    step[row] = _newton_step(jac[row], res[row])
+                except np.linalg.LinAlgError:
+                    fail(row, "two-state first-order system is singular")
+        if any(gone):
+            keep = [row for row, g in enumerate(gone) if not g]
+            if not keep:
+                return
+            z, res, jac, short, step, fraction, d, gamma = (
+                a[keep] for a in (z, res, jac, short, step, fraction, d, gamma)
+            )
+            geo = geo.take(keep)
+            ids, best, iterations = ([v[row] for row in keep] for v in (ids, best, iterations))
+            gone = [False] * len(ids)
+        cand = z + fraction * step
+        cres, cjac, cshort = _evaluate(geo, d, gamma, cand)
+        cbest = np.abs(cres).max(axis=1).tolist()
+        moved = [c < b for c, b in zip(cbest, best)]
+        if all(moved):
+            z, res, jac, short, best = cand, cres, cjac, cshort, cbest
+            continue
+        took = np.array(moved)
+        z[took], res[took], jac[took], short[took] = cand[took], cres[took], cjac[took], cshort[took]
+        for row, took_row in enumerate(moved):
+            if took_row:
+                best[row] = cbest[row]
+                continue
+            if fraction[row, 0] == _SHORTEST_STEP:
+                fail(row, f"two-state Newton stalled at residual {best[row]:.3g}")
+            fraction[row] *= 0.5

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sysrisk import gaussian_scen
-from sysrisk.cli import TABLES, fmt, main, parse_sweep
+from sysrisk.cli import TABLES, apply_sweep_value, fmt, main, parse_sweep
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -331,6 +331,48 @@ def test_sweep_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("SYSRISK_THREADS", "4")
     assert main([*argv, "--out", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+def _per_value_loop(tmp_path, capsys, payload, spec):
+    """(stdout, stderr, exit code) of solving a gaussian-scen sweep one value
+    at a time: each value's input written out and run alone, stopping at the
+    first value that fails."""
+    name, values = parse_sweep(spec)
+    lines = [f"{name},quantity,key,value"]
+    for i, value in enumerate(values):
+        src = write_json(tmp_path, f"point{i}.json", apply_sweep_value(payload, name, float(value)))
+        code = main(["--solver", "gaussian-scen", "--input", src])
+        out, err = capsys.readouterr()
+        if code != 0:
+            return "", err, code
+        lines += [f"{fmt(value)},{line}" for line in out.splitlines()[1:]]
+    return "\n".join(lines) + "\n", "", 0
+
+
+SWEEP_MODEL = dict(TWO_BANK, cov=[[1.0, 0.0], [0.0, 9.0]])
+
+
+@pytest.mark.parametrize(
+    "payload,spec,code",
+    [
+        (TWO_BANK, "gamma:-0.5:1:0.5", 1),             # the first point is rejected
+        (SWEEP_MODEL, "correlation:0.55:1.35:0.1", 1),  # |corr| > 1 at 1.05
+        (SWEEP_MODEL, "correlation:0.5:1.3:0.1", 3),   # corr 1 stalls before 1.1 is rejected
+        (SWEEP_MODEL, "correlation:-0.9:0.9:0.05", 0),
+        (TWO_BANK, "gamma:0.1:1.9:0.05", 0),
+        (TWO_BANK, "trigger:-3:6:0.25", 0),
+    ],
+    ids=["gamma-below-zero", "corr-above-one", "corr-one-stalls", "corr", "gamma", "trigger"],
+)
+def test_batched_sweep_prints_what_a_per_value_loop_prints(tmp_path, capsys, payload, spec, code):
+    """The sweep solves all its points as one batch, yet its output, its
+    error message and its exit code are those of solving the values in
+    order and stopping at the first that fails."""
+    src = write_json(tmp_path, "model.json", payload)
+    got_code = main(["--solver", "gaussian-scen", "--input", src, "--sweep", spec])
+    out, err = capsys.readouterr()
+    assert (out, err, got_code) == _per_value_loop(tmp_path, capsys, payload, spec)
+    assert got_code == code
 
 
 def test_parse_sweep_grid():

@@ -1,6 +1,7 @@
 """Two-bank scenario-dependent solver: bivariate normal plumbing, the
 objective itself, and the balanced-transfer optimum."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
 from sysrisk import gaussian_scen
+from sysrisk.cli import main, parse_sweep
 from sysrisk.core import ConvergenceError, GaussianSystem
 from sysrisk.gaussian_det import optimal_deterministic, shortfall_expectation
 from sysrisk.gaussian_scen import (
@@ -16,6 +18,7 @@ from sysrisk.gaussian_scen import (
     binorm_cdf,
     psi_two_state,
     solve_two_state,
+    solve_two_state_batch,
 )
 from two_state_reference import (
     log_state_probability,
@@ -122,6 +125,10 @@ def test_binorm_array_contract():
     assert got[9] == pytest.approx(ref, abs=1e-9)
     with pytest.raises(ValueError):
         binorm_cdf(h, k, np.full(h.shape, 1.01))
+    # thousands of panels, integrated in many blocks, give each element's own value
+    rng = np.random.default_rng(3)
+    h, k, r = rng.uniform(-3, 3, 200), rng.uniform(-3, 3, 200), rng.uniform(-0.99, 0.99, 200)
+    np.testing.assert_array_equal(binorm_cdf(h, k, r), [binorm_cdf(*t) for t in zip(h, k, r)])
 
 
 def _state_triples(seed):
@@ -437,6 +444,44 @@ def test_one_evaluation_per_iterate(corr, monkeypatch):
     assert sum(sizes) == 2 * system.n * (sol.iterations + 1)
 
 
+def _counted_solves(monkeypatch, run):
+    """(binorm_cdf call count, triples passed) while ``run()`` runs."""
+    sizes = []
+
+    def counted(h, k, r):
+        sizes.append(np.size(h))
+        return binorm_cdf(h, k, r)
+
+    monkeypatch.setattr(gaussian_scen, "binorm_cdf", counted)
+    run()
+    monkeypatch.setattr(gaussian_scen, "binorm_cdf", binorm_cdf)
+    return len(sizes), sum(sizes)
+
+
+def test_sweep_batch_makes_one_call_per_round(monkeypatch, tmp_path):
+    """Work budget of a batched sweep: each Newton round is one bivariate CDF
+    call for every point still iterating, so a 37-point sweep makes as many
+    calls as its longest single solve, and carries exactly the triples the
+    37 single solves carry between them."""
+    model = {"mu": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 2.2**2]], "gamma": 0.6, "trigger": 1.3}
+    src = tmp_path / "model.json"
+    src.write_text(json.dumps(model))
+    argv = ["--solver", "gaussian-scen", "--input", str(src),
+            "--sweep", "correlation:-0.9:0.9:0.05", "--out", str(tmp_path / "out.csv")]
+    codes = []
+    calls, triples = _counted_solves(monkeypatch, lambda: codes.append(main(argv)))
+    assert codes == [0]
+    _, values = parse_sweep("correlation:-0.9:0.9:0.05")
+    alone = [
+        _counted_solves(monkeypatch, lambda c=c: solve_two_state(_system(c * 2.2, 2.2), 0.6,
+                                                                 trigger=1.3))
+        for c in values
+    ]
+    assert len(alone) == 37
+    assert calls == max(n for n, _ in alone)
+    assert triples == sum(t for _, t in alone)
+
+
 def test_equal_marginals_need_no_transfer():
     """Identical marginal laws leave nothing to reshuffle: the optimum sits
     on the deterministic solution with a vanishing transfer."""
@@ -535,3 +580,159 @@ def test_interpolates_between_book_ends():
         det = optimal_deterministic(system, GAMMA)
         sol = solve_two_state(system, GAMMA, trigger=TRIGGER)
         assert sol.rho <= det.rho + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# solve_two_state_batch: every system follows its own iterates, to the bit
+
+
+def _same_outcome(batched, alone):
+    """Bit-identical answers, or the same error with the same message."""
+    if isinstance(alone, Exception):
+        assert type(batched) is type(alone)
+        assert str(batched) == str(alone)
+        return
+    assert np.array_equal(batched.m, alone.m)
+    assert np.array_equal(batched.alpha, alone.alpha)
+    assert batched.rho == alone.rho
+    assert batched.lam == alone.lam or (math.isnan(batched.lam) and math.isnan(alone.lam))
+    assert batched.residual == alone.residual
+    assert batched.iterations == alone.iterations
+
+
+def _solve_alone(problem):
+    try:
+        return solve_two_state(*problem)
+    except (ConvergenceError, ValueError) as exc:
+        return exc
+
+
+def _assert_batch_is_each_alone(problems):
+    outcomes = solve_two_state_batch(problems)
+    assert len(outcomes) == len(problems)
+    for problem, outcome in zip(problems, outcomes):
+        _same_outcome(outcome, _solve_alone(problem))
+    return outcomes
+
+
+GRID = np.arange(37)
+SWEEPS = {    # the 37 points of a gaussian-scen sweep of each parameter
+    "correlation": [(_system(c * 2.2, 2.2), 0.6, None, 1.3) for c in -0.9 + 0.05 * GRID],
+    "gamma": [(_system(-1.5, 3.0), g, None, TRIGGER) for g in 0.1 + 0.05 * GRID],
+    "trigger": [(_system(-1.5, 3.0), GAMMA, None, t) for t in -3.0 + 0.25 * GRID],
+}
+# the 13 cases of tables 1-3, with table 3's keys read as covariances
+TABLE_CASES = (
+    [(_system(c * 3.0, 3.0), GAMMA, None, TRIGGER) for c in sorted(TABLE_WIDE_SPREAD)]
+    + [(_system(-0.5 * s, s), GAMMA, None, TRIGGER) for s in (1.0, 5.0, 10.0)]
+    + [(_system(c, SIGMA2_MERGED), GAMMA, None, TRIGGER) for c in sorted(TABLE_MERGED_UNIT)]
+)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_batched_sweep_is_each_point_alone(name):
+    outcomes = _assert_batch_is_each_alone(SWEEPS[name])
+    # the points stop at different rounds, so the lockstep really shrinks
+    assert len({sol.iterations for sol in outcomes}) > 1
+
+
+def test_batched_tables_are_each_case_alone():
+    assert len(TABLE_CASES) == 13
+    _assert_batch_is_each_alone(TABLE_CASES)
+
+
+def _random_problem(seed):
+    """A seeded random system of 2, 3 or 4 banks (by seed), with its budget,
+    trigger and, for every fourth seed, critical levels."""
+    rng = np.random.default_rng([2014, seed])
+    n = 2 + seed % 3
+    a = rng.normal(size=(n, n)) * rng.uniform(0.3, 2.0, size=n)[:, None]
+    system = GaussianSystem(rng.uniform(-1.0, 1.0, n), a @ a.T + 0.05 * np.eye(n))
+    gamma = rng.uniform(0.2, 0.7) * float(np.sqrt(np.diag(system.cov)).sum()) / math.sqrt(2 * math.pi)
+    trigger = float(system.mu.sum()) + rng.uniform(-1.5, 0.5) * math.sqrt(system.cov.sum())
+    d = rng.uniform(-0.5, 0.5, n) if seed % 4 == 0 else None
+    return system, gamma, d, trigger
+
+
+RANDOM_PROBLEMS = [_random_problem(seed) for seed in range(60)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, "mixed"])
+def test_batched_random_systems_are_each_alone(n):
+    """60 seeded random 2-4-bank systems, batched by N and all together (the
+    batch groups them by N itself)."""
+    problems = [p for p in RANDOM_PROBLEMS if n == "mixed" or p[0].n == n]
+    outcomes = _assert_batch_is_each_alone(problems)
+    if n != "mixed":
+        assert len(problems) == 20
+        assert len({o.iterations for o in outcomes if not isinstance(o, Exception)}) > 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+def test_batched_evaluation_and_step_match_each_row(n):
+    """The batch axis moves no bit of an evaluation or a Newton step: the row
+    sums (the budget and the last transfer) and the stacked linear solve give
+    each system what it gets alone.  N = 9 puts both sums past numpy's
+    eight-wide pairwise summation blocks."""
+    rng = np.random.default_rng([99, n])
+    geos, zs = [], []
+    for _ in range(6):
+        a = rng.normal(size=(n, n))
+        system = GaussianSystem(rng.normal(0.0, 0.5, n), a @ a.T / n + 0.3 * np.eye(n))
+        geos.append(gaussian_scen._JointGeometry.of(system, float(rng.uniform(-1.0, 1.0))))
+        zs.append(np.concatenate([rng.uniform(0.0, 2.0, n), rng.normal(0.0, 0.3, n - 1)]))
+    d, gamma, z = rng.uniform(-0.5, 0.5, (6, n)), rng.uniform(0.2, 1.0, 6), np.array(zs)
+    res, jac, short = gaussian_scen._evaluate(
+        gaussian_scen._JointGeometry.stack(geos), d, gamma, z
+    )
+    step = gaussian_scen._newton_step(jac, res)
+    for i, geo in enumerate(geos):
+        one = gaussian_scen._evaluate(geo, d[i:i + 1], gamma[i:i + 1], z[i:i + 1])
+        assert np.array_equal(res[i], one[0][0])
+        assert np.array_equal(jac[i], one[1][0])
+        assert short[i] == one[2][0]
+        assert np.array_equal(step[i], np.linalg.solve(jac[i], -res[i]))
+
+
+# the 3-bank system on which Newton stalls (CHANGES.md FOUND): the second step
+# lowers the log rows but sends the budget residual to 14.7
+STALLING = (
+    GaussianSystem(
+        np.array([0.381, 0.431, 0.37]),
+        np.array([[19.699, 7.288, -5.297], [7.288, 3.117, -2.349], [-5.297, -2.349, 1.896]]),
+    ),
+    0.3913, None, 2.131,
+)
+# a rank-one 2-bank system whose first Jacobian is exactly singular
+SINGULAR = (GaussianSystem(np.zeros(2), np.outer([1.0, -2.0], [1.0, -2.0])), 0.6, None, -0.5)
+
+
+def test_a_failing_system_leaves_the_others_alone():
+    """A stall, a singular Jacobian in the stacked solve and a rejected input
+    each fail only their own system, with the error they raise alone; the
+    healthy systems beside them give their single-solve answers."""
+    with pytest.raises(ConvergenceError, match="stalled at residual 14.7") as stalled:
+        solve_two_state(*STALLING)
+    with pytest.raises(ConvergenceError, match="singular") as singular:
+        solve_two_state(*SINGULAR)
+    healthy3 = [p for p in RANDOM_PROBLEMS if p[0].n == 3][:4]
+    healthy2 = [p for p in RANDOM_PROBLEMS if p[0].n == 2][:4]
+    bad_gamma = (healthy2[0][0], -0.5, None, 1.0)
+    problems = healthy3[:2] + [STALLING] + healthy3[2:] + healthy2[:2] + [SINGULAR, bad_gamma]
+    problems += healthy2[2:]
+    outcomes = _assert_batch_is_each_alone(problems)
+    assert str(outcomes[2]) == str(stalled.value)
+    assert str(outcomes[7]) == str(singular.value)
+    assert isinstance(outcomes[8], ValueError)
+    assert all(isinstance(outcomes[i], gaussian_scen.TwoStateSolution)
+               for i in (0, 1, 3, 4, 5, 6, 9, 10))
+
+
+def test_batched_step_cap_is_each_system_alone(monkeypatch):
+    """Under a cap of 3 Newton steps, the table systems that need more raise
+    the cap's error and the others finish, each as alone."""
+    monkeypatch.setattr(gaussian_scen, "NEWTON_MAX_ITER", 3)
+    outcomes = _assert_batch_is_each_alone(TABLE_CASES)
+    capped = [o for o in outcomes if isinstance(o, ConvergenceError)]
+    assert capped and len(capped) < len(outcomes)
+    assert all("reached 3 steps" in str(o) for o in capped)
