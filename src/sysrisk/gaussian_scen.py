@@ -347,8 +347,6 @@ def solve_two_state_batch(problems) -> list:
     groups: dict[int, list] = {}
     for index, (system, gamma, d, trigger) in enumerate(problems):
         try:
-            if gamma <= 0.0:
-                raise ValueError("gamma must be positive")
             n = system.n
             if n < 2:
                 raise ValueError("need at least two institutions to transfer capital")

@@ -8,8 +8,11 @@ acceptability, for any combination of
 * aggregation        -- any core Aggregation,
 * acceptance         -- ExpectationFloor, WorstCase, ExpectedShortfall.
 
-It shares no formulas with the analytic modules.  Each call takes the first
-branch that fits; ``diagnostics["method"]`` names it:
+It shares no formulas with the analytic modules.  Every call first checks
+the class against the instance, whatever the branch: a two-state indicator
+needs one entry per scenario, floors one per institution, and a partition
+must cover range(N), else ``ValueError``.  It then takes the first branch
+that fits; ``diagnostics["method"]`` names it:
 
 1. ``exact-worst-case`` (``-clearing``): worst-case acceptance with Sum,
    ShortfallSum or EisenbergNoe, per-scenario linear constraints in closed form;
@@ -34,7 +37,9 @@ for GainLossWeighted with beta_i > alpha_k (i != k) and transferable cash,
 where moving cash from k to i raises the aggregate at no cost.
 
 ``numeric_rho_family`` turns a monotone family of expectation floors into a
-single number by bisecting on the cheapest self-consistent budget.  The
+single number, the cheapest self-consistent budget.  The schedule is flat
+beyond its first and last levels, so an answer there is one ``numeric_rho``
+cost, exact; only an answer between them is bisected.  The
 ``check_*`` helpers drive randomized structural-property audits and report
 the worst violation found.
 """
@@ -72,6 +77,10 @@ from .finite_alloc import normalize_partition
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 150
+FAMILY_TOL = 1e-9          # numeric_rho_family bisection width, times max(1, |m|)
+AUDIT_TOL = 1e-6           # an audit counts any excess above this as a violation
+AUDIT_SCALE = 10.0         # audit draws and transfers are uniform on [-AUDIT_SCALE, AUDIT_SCALE]
+SUM_REDUCTION_SEED = 11
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +138,19 @@ class TwoStateParametric:
 AllocationClass = Deterministic | FullyFlexible | FloorConstrained | Grouped | TwoStateParametric
 
 
+def _fitted_class(cls: AllocationClass, n: int, m: int) -> AllocationClass:
+    """``cls`` checked against an N x M instance (see module docstring), partition normalised."""
+    if not isinstance(cls, AllocationClass):
+        raise TypeError(f"unknown allocation class {cls!r}")
+    if isinstance(cls, TwoStateParametric) and cls.indicator.shape != (m,):
+        raise ValueError("indicator must have one entry per scenario")
+    if isinstance(cls, FloorConstrained) and cls.floors.shape != (n,):
+        raise ValueError("floors must have one entry per institution")
+    if isinstance(cls, Grouped):
+        return Grouped(normalize_partition(cls.partition, n))
+    return cls
+
+
 def _allocation_map(cls: AllocationClass, n: int, m: int) -> tuple[scipy.sparse.coo_array, np.ndarray]:
     """Sparse N*M x K map with vec Y = ymap @ v (Y row-major), and the price of each column.
 
@@ -137,20 +159,15 @@ def _allocation_map(cls: AllocationClass, n: int, m: int) -> tuple[scipy.sparse.
     (i, j), then one column paying the sink in every scenario: the block's
     scenario-constant total, priced 1.  TwoStateParametric has Deterministic's
     columns, then one column per institution i < N-1 moving cash to i from
-    the last institution on the indicator's scenarios.
+    the last institution on the indicator's scenarios.  ``cls`` is one that
+    ``_fitted_class`` returned for this N x M.
     """
     if isinstance(cls, (Deterministic, TwoStateParametric)):
-        if isinstance(cls, TwoStateParametric) and cls.indicator.shape != (m,):
-            raise ValueError("indicator must have one entry per scenario")
         blocks = [((i,), i) for i in range(n)]
     elif isinstance(cls, (FullyFlexible, FloorConstrained)):
-        if isinstance(cls, FloorConstrained) and cls.floors.shape != (n,):
-            raise ValueError("floors must have one entry per institution")
         blocks = [(range(n), n - 1)]
-    elif isinstance(cls, Grouped):
-        blocks = [(b, b[0]) for b in normalize_partition(cls.partition, n)]
     else:
-        raise TypeError(f"unknown allocation class {cls!r}")
+        blocks = [(b, b[0]) for b in cls.partition]
     cells = np.arange(m)
     rows, cols, vals, price = [], [], [], []
 
@@ -185,62 +202,53 @@ def _allocation_map(cls: AllocationClass, n: int, m: int) -> tuple[scipy.sparse.
 # exact branch: worst-case acceptance, separable aggregation
 # ---------------------------------------------------------------------------
 
-def _worst_case_exact(x: RiskVector, cls: AllocationClass, lam) -> RiskResult:
+def _worst_case_exact(x: RiskVector, cls: AllocationClass, lam: Sum | ShortfallSum) -> RiskResult:
     """Per-scenario linear constraints solved class by class.
 
     For ShortfallSum(d), acceptability of a scenario means every institution
     is topped up to its critical level: Y_ij >= d_i - X_ij.  For Sum it means
     the scenario total is nonnegative.
     """
-    n, m = x.n, x.m
-    if isinstance(lam, ShortfallSum):
-        need = lam.d[:, None] - x.positions        # N x M; a length-1 d broadcasts
-        if isinstance(cls, Deterministic):
-            mh = need.max(axis=1)
-            y = np.repeat(mh[:, None], m, axis=1)
-        elif isinstance(cls, (FullyFlexible, FloorConstrained, Grouped)):
-            # each block (all institutions unless Grouped) pays its worst
-            # column requirement, the slack parked on its first member
-            if isinstance(cls, FloorConstrained):
-                need = np.maximum(need, cls.floors[:, None])
-            blocks = [slice(None)]
-            if isinstance(cls, Grouped):
-                blocks = [list(b) for b in normalize_partition(cls.partition, n)]
-            y = np.empty((n, m))
-            for rows in blocks:
-                yb = need[rows].copy()
-                totals = yb.sum(axis=0)
-                yb[0] += float(totals.max()) - totals
-                y[rows] = yb
-        elif isinstance(cls, TwoStateParametric):
-            # regime-wise requirements: m_i >= lo_i off-state, m_i + a_i >= hi_i
-            # on-state, sum a = 0.  Optimal total is max(sum lo, sum hi);
-            # achieved with a_i = t_i - mean(t), t = hi - lo.
-            ind = cls.indicator.astype(bool)
-            if ind.all() or not ind.any():
-                mvec = need.max(axis=1)
-                y = np.repeat(mvec[:, None], m, axis=1)
-            else:
-                lo = need[:, ~ind].max(axis=1)
-                hi = need[:, ind].max(axis=1)
-                t = hi - lo
-                a = t - t.sum() / n
-                mvec = np.maximum(lo, hi - a)
-                y = mvec[:, None] + a[:, None] * cls.indicator[None, :]
-        else:  # pragma: no cover
-            raise TypeError(f"unknown allocation class {cls!r}")
-        z = aggregate_scenarios(lam, x.positions + y)
-        rho = allocation_total(y)
-        return RiskResult(
-            rho=rho,
-            allocation=y,
-            ranking=rank_by_expected_allocation(x.space, y),
-            diagnostics={"method": "exact-worst-case", "min_outcome": float(z.min())},
-        )
     if isinstance(lam, Sum):
         return _floored_total(x, cls, float((-x.positions.sum(axis=0)).max()),
                               "exact-worst-case")
-    raise TypeError("exact worst-case branch needs Sum or ShortfallSum")
+    n, m = x.n, x.m
+    need = lam.d[:, None] - x.positions        # N x M; a length-1 d broadcasts
+    if isinstance(cls, TwoStateParametric) and np.ptp(cls.indicator) == 0.0:
+        cls = Deterministic()                  # a constant indicator moves no cash
+    if isinstance(cls, Deterministic):
+        mh = need.max(axis=1)
+        y = np.repeat(mh[:, None], m, axis=1)
+    elif isinstance(cls, TwoStateParametric):
+        # regime-wise requirements: m_i >= lo_i off-state, m_i + a_i >= hi_i
+        # on-state, sum a = 0.  Optimal total is max(sum lo, sum hi);
+        # achieved with a_i = t_i - mean(t), t = hi - lo.
+        ind = cls.indicator.astype(bool)
+        lo = need[:, ~ind].max(axis=1)
+        hi = need[:, ind].max(axis=1)
+        t = hi - lo
+        a = t - t.sum() / n
+        mvec = np.maximum(lo, hi - a)
+        y = mvec[:, None] + a[:, None] * cls.indicator[None, :]
+    else:
+        # each block (all institutions unless Grouped) pays its worst
+        # column requirement, the slack parked on its first member
+        if isinstance(cls, FloorConstrained):
+            need = np.maximum(need, cls.floors[:, None])
+        blocks = [list(b) for b in cls.partition] if isinstance(cls, Grouped) else [slice(None)]
+        y = np.empty((n, m))
+        for rows in blocks:
+            yb = need[rows].copy()
+            totals = yb.sum(axis=0)
+            yb[0] += float(totals.max()) - totals
+            y[rows] = yb
+    z = aggregate_scenarios(lam, x.positions + y)
+    return RiskResult(
+        rho=allocation_total(y),
+        allocation=y,
+        ranking=rank_by_expected_allocation(x.space, y),
+        diagnostics={"method": "exact-worst-case", "min_outcome": float(z.min())},
+    )
 
 
 def _floored_total(x: RiskVector, cls: AllocationClass, need: float, method: str) -> RiskResult:
@@ -498,6 +506,7 @@ def numeric_rho(
     criterion: AcceptanceCriterion,
 ) -> RiskResult:
     """Cheapest acceptable allocation in the given class; see module docstring."""
+    cls = _fitted_class(cls, x.n, x.m)
     if isinstance(criterion, (WorstCase, ExpectedShortfall)) and isinstance(
         lam, ExponentialLoss
     ):
@@ -559,66 +568,48 @@ def numeric_rho_family(
     cls: AllocationClass,
     lam: Aggregation,
     theta: ThetaMap,
-    tol: float = 1e-9,
 ) -> RiskResult:
     """Smallest budget level m that finances its own acceptance requirement.
 
-    The floor becomes stricter as capital grows (theta nondecreasing); m is
-    *self-consistent* when the cheapest acceptable allocation under floor
-    -theta(m) costs no more than m.  The set of self-consistent levels is an
-    up-set, so bisection applies.
+    m is *self-consistent* when the cheapest acceptable allocation under
+    floor -theta(m), of cost c(m), costs no more than m.  The budget theta
+    is nondecreasing, so the floor loosens and c does not grow as m grows:
+    the self-consistent levels form an up-set.  theta, and so c, is constant
+    below the first level l0 and above the last level lK, so the least
+    self-consistent level is c(l0) if c(l0) <= l0, c(lK) if c(lK) > lK, and
+    otherwise the bisection point on [l0, lK] where c(m) <= m + FAMILY_TOL
+    starts to hold, to within FAMILY_TOL * max(1, |m|).  The diagnostics
+    name the case and trace every (m, c(m)) probed.
     """
+    trace: list[tuple[float, float]] = []      # (level m, cost c(m)) per probe
 
-    def probe(m: float) -> tuple[bool, RiskResult]:
+    def cost(m: float) -> RiskResult:
         res = numeric_rho(x, cls, lam, ExpectationFloor(-theta(m)))
-        return res.rho <= m + tol, res
+        trace.append((m, res.rho))
+        return res
 
-    hi = float(theta.levels[-1])
-    span = max(1.0, hi - float(theta.levels[0]))
-    trace: list[tuple[float, bool]] = []
-    ok_hi, best_res = probe(hi)
-    trace.append((hi, ok_hi))
-    for _ in range(61):
-        if ok_hi:
-            break
-        hi += span
-        span *= 2.0
-        ok_hi, best_res = probe(hi)
-        trace.append((hi, ok_hi))
-    else:
-        raise InfeasibleError("no self-consistent budget level found")
-    # below the cheapest acceptable cost the level cannot finance itself, so an
-    # infeasible lower end always exists
-    lo = hi - span
-    ok_lo, res_lo = probe(lo)
-    trace.append((lo, ok_lo))
-    for _ in range(61):
-        if not ok_lo:
-            break
-        hi, best_res = lo, res_lo
-        lo -= span
-        span *= 2.0
-        ok_lo, res_lo = probe(lo)
-        trace.append((lo, ok_lo))
-    else:
-        raise ConvergenceError("self-consistency bracket not found")
-    for _ in range(200):
-        if hi - lo <= tol * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        ok, res = probe(mid)
-        trace.append((mid, ok))
-        if ok:
-            hi, best_res = mid, res
-        else:
-            lo = mid
-    out = RiskResult(
-        rho=hi,
-        allocation=best_res.allocation,
-        ranking=best_res.ranking,
-        diagnostics={"method": "family-bisection", "trace": trace},
+    lo, hi = float(theta.levels[0]), float(theta.levels[-1])
+    best = cost(lo)
+    rho, method = best.rho, "family-flat-end"
+    if rho > lo and hi > lo:
+        best = cost(hi)
+        rho = best.rho
+        if rho <= hi:
+            method = "family-bisection"
+            while hi - lo > FAMILY_TOL * max(1.0, abs(hi)):
+                mid = 0.5 * (lo + hi)
+                res = cost(mid)
+                if res.rho <= mid + FAMILY_TOL:
+                    hi, best = mid, res
+                else:
+                    lo = mid
+            rho = hi
+    return RiskResult(
+        rho=rho,
+        allocation=best.allocation,
+        ranking=best.ranking,
+        diagnostics={"method": method, "trace": trace},
     )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -652,13 +643,11 @@ def check_structural_properties(
     base: RiskVector,
     trials: int = 1000,
     seed: int = 7,
-    tol: float = 1e-6,
-    scale: float = 10.0,
 ) -> list[PropertyReport]:
     """Randomized audit of monotonicity, quasi-convexity and convexity.
 
     Pairs are drawn around the base instance; a violation is any excess above
-    tol.  Reports carry the worst witness for post-mortems.
+    AUDIT_TOL.  Reports carry the worst witness for post-mortems.
     """
     rng = np.random.default_rng(seed)
     mono = PropertyReport("monotonicity", 0, 0, 0.0)
@@ -668,11 +657,11 @@ def check_structural_properties(
     shape = base.positions.shape
 
     def near() -> RiskVector:
-        return RiskVector(base.space, base.positions + rng.uniform(-scale, scale, shape))
+        return RiskVector(base.space, base.positions + rng.uniform(-AUDIT_SCALE, AUDIT_SCALE, shape))
 
     def record(report: PropertyReport, gap: float, witness: dict) -> None:
         report.trials += 1
-        if gap > tol:
+        if gap > AUDIT_TOL:
             report.failures += 1
             if gap > report.worst_violation:
                 report.witness = witness
@@ -680,7 +669,7 @@ def check_structural_properties(
 
     for _ in range(trials):
         x1 = near()
-        bump = rng.uniform(0.0, scale, shape)
+        bump = rng.uniform(0.0, AUDIT_SCALE, shape)
         r1, r2 = rho_fn(x1), rho_fn(RiskVector(base.space, x1.positions + bump))
         record(mono, r2 - r1,    # more wealth must not cost more
                {"positions": x1.positions.tolist(), "bump": bump.tolist()})
@@ -707,25 +696,23 @@ def check_sum_reduction(
     rho_fn: Callable[[RiskVector], float],
     x: RiskVector,
     n_transfers: int = 20,
-    seed: int = 11,
-    scale: float = 10.0,
-    tol: float = 1e-6,
 ) -> SumReductionReport:
     """Does rho only depend on the scenario-wise sum of positions?
 
     Applies random transfer matrices with zero column sums (wealth reshuffles
     between institutions, scenario totals untouched) and records |rho(X+T) -
-    rho(X)|.  True for fully flexible allocations; floors break it.
+    rho(X)|; rho counts as invariant if none exceeds AUDIT_TOL.  True for
+    fully flexible allocations; floors break it.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SUM_REDUCTION_SEED)
     base = rho_fn(x)
     devs = []
     for _ in range(n_transfers):
-        t = rng.uniform(-scale, scale, x.positions.shape)
+        t = rng.uniform(-AUDIT_SCALE, AUDIT_SCALE, x.positions.shape)
         t -= t.mean(axis=0, keepdims=True)       # zero column sums
         devs.append(abs(rho_fn(RiskVector(x.space, x.positions + t)) - base))
     worst = max(devs)
-    return SumReductionReport(worst, devs, worst <= tol)
+    return SumReductionReport(worst, devs, worst <= AUDIT_TOL)
 
 
 def check_cash_invariance(rho_fn: Callable[[RiskVector], float], x: RiskVector, v) -> float:

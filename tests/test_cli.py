@@ -450,6 +450,34 @@ def test_malformed_input_is_a_configuration_error(tmp_path, capsys, solver, payl
     assert capsys.readouterr().err.startswith("sysrisk: configuration error:")
 
 
+ORACLE_MISFITS = {     # the README oracle positions: N = 2, M = 2
+    "short-indicator": {"type": "two-state", "indicator": [1]},
+    "short-floors": {"type": "floor-constrained", "floors": [0]},
+    "partial-partition": {"type": "grouped", "partition": [[0]]},
+}
+ORACLE_BRANCHES = {
+    "worst-case-shortfall-sum": ({"type": "shortfall-sum", "d": [0, 0]}, {"type": "worst-case"}),
+    "worst-case-sum": ({"type": "sum"}, {"type": "worst-case"}),
+    "floor-sum": ({"type": "sum"}, {"type": "expectation-floor", "b": -1.0}),
+    "lp": ({"type": "shortfall-sum", "d": [0, 0]}, {"type": "expectation-floor", "b": -1.0}),
+}
+
+
+@pytest.mark.parametrize("branch", ORACLE_BRANCHES)
+@pytest.mark.parametrize("misfit", ORACLE_MISFITS)
+def test_oracle_class_that_does_not_fit_exits_1(tmp_path, capsys, misfit, branch):
+    aggregation, acceptance = ORACLE_BRANCHES[branch]
+    src = write_json(tmp_path, "model.json", dict(
+        ORACLE_INPUT, aggregation=aggregation, acceptance=acceptance,
+        **{"class": ORACLE_MISFITS[misfit]}))
+    code, rows = run_cli(tmp_path, "--solver", "oracle", "--input", src)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sysrisk: configuration error:")
+    assert "Traceback" not in err
+    assert rows == [] and not (tmp_path / "out.csv").exists()
+
+
 def test_large_budget_takes_cash_out(tmp_path):
     # gamma 2 is above sum(sigma) / sqrt(2 pi) ~ 1.596, so R > 0
     src = write_json(tmp_path, "model.json", dict(TWO_BANK, gamma=2.0))

@@ -444,6 +444,44 @@ def test_lp_reports_infeasible(small_risk_vector):
 # routing refusals
 
 
+MALFORMED_CLASSES = {
+    "short-indicator": (TwoStateParametric(np.array([1.0, 0.0])), "one entry per scenario"),
+    "short-floors": (FloorConstrained(np.zeros(1)), "one entry per institution"),
+    "partial-partition": (Grouped(((0,),)), "cover every institution"),
+}
+BRANCHES = {
+    "worst-case-shortfall-sum": (ShortfallSum(np.zeros(2)), WorstCase()),
+    "worst-case-sum": (Sum(), WorstCase()),
+    "floor-sum": (Sum(), ExpectationFloor(-1.0)),
+    "lp": (ShortfallSum(np.zeros(2)), ExpectationFloor(-1.0)),
+}
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@pytest.mark.parametrize("kind", MALFORMED_CLASSES)
+def test_class_that_does_not_fit_is_refused_on_every_branch(small_risk_vector, kind, branch):
+    """N = 2, M = 3: the class is checked before any branch is chosen."""
+    cls, msg = MALFORMED_CLASSES[kind]
+    lam, crit = BRANCHES[branch]
+    with pytest.raises(ValueError, match=msg):
+        numeric_rho(small_risk_vector, cls, lam, crit)
+
+
+def test_unknown_class_is_refused(small_risk_vector):
+    with pytest.raises(TypeError, match="unknown allocation class"):
+        numeric_rho(small_risk_vector, object(), Sum(), WorstCase())
+
+
+@pytest.mark.parametrize("on", [0.0, 1.0], ids=["all-zero", "all-one"])
+def test_worst_case_two_state_with_constant_indicator_is_deterministic(small_risk_vector, on):
+    lam = ShortfallSum(np.array([1.0, -2.0]))
+    two = numeric_rho(small_risk_vector, TwoStateParametric(np.full(3, on)), lam, WorstCase())
+    det = numeric_rho(small_risk_vector, Deterministic(), lam, WorstCase())
+    assert two.rho == det.rho
+    np.testing.assert_array_equal(two.allocation, det.allocation)
+
+
+
 def test_exponential_rejects_sign_criteria(small_risk_vector):
     lam = ExponentialLoss(np.array([0.2, 0.3]))
     with pytest.raises(InfeasibleError):
@@ -638,6 +676,36 @@ def test_increasing_schedule_self_consistency(four_bank_example):
         x, FullyFlexible(), ExponentialLoss(alphas), ExpectationFloor(-20.0)
     )
     assert res.rho <= flat.rho + 1e-9
+
+
+@pytest.mark.parametrize(
+    "levels,budgets,end",
+    [
+        # theta is flat below -20, and c(-20) = c at budget gamma ~ -26.4 <= -20
+        ([-20.0, 100.0], [1.0, 3.0], 0),
+        # theta is flat above -50, and c(-50) = c at budget gamma ~ -26.4 > -50
+        ([-100.0, -50.0], [0.5, 1.0], -1),
+    ],
+    ids=["below-first-level", "above-last-level"],
+)
+def test_schedule_answer_on_a_flat_end_is_one_cost(four_bank_example, monkeypatch,
+                                                    levels, budgets, end):
+    x, alphas, gamma = four_bank_example
+    lam = ExponentialLoss(alphas)
+    theta = ThetaMap(np.array(levels), gamma * np.array(budgets))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return numeric_rho(*args)
+
+    monkeypatch.setattr(oracle, "numeric_rho", counted)
+    res = numeric_rho_family(x, FullyFlexible(), lam, theta)
+    direct = numeric_rho(x, FullyFlexible(), lam, ExpectationFloor(-theta(levels[end])))
+    assert res.rho == direct.rho
+    np.testing.assert_array_equal(res.allocation, direct.allocation)
+    assert len(calls) <= 2
+    assert res.diagnostics["method"] == "family-flat-end"
 
 
 @pytest.mark.parametrize(
