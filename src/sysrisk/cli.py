@@ -348,17 +348,17 @@ _GAUSS_QUANTITIES = ("m1_det", "m2_det", "rho_det", "m1", "m2", "alpha", "rho")
 def _gauss_table(cases) -> tuple[list[str], list[list]]:
     """Tables 1-3: two banks, gamma 0.7, trigger 2.  Each case is
     (label, cov12, sigma2, reference cells in _GAUSS_QUANTITIES order); the
-    cases' two-state solves run as one batch."""
-    dets = []
+    cases' two-state solves run as one batch, and each solution carries the
+    deterministic optimum it started from."""
 
     def prepare(case):
         _, cov12, sigma2, _ = case
         system = GaussianSystem(np.zeros(2), np.array([[1.0, cov12], [cov12, sigma2**2]]))
-        dets.append(optimal_deterministic(system, 0.7))
         return system, 0.7, None, 2.0
 
     rows = []
-    for (label, _, _, refs), det, scen in zip(cases, dets, _solve_in_order(cases, prepare)):
+    for (label, _, _, refs), scen in zip(cases, _solve_in_order(cases, prepare)):
+        det = scen.deterministic
         distress = scen.distress_allocation   # the reference tables quote this state
         computed = (det.m[0], det.m[1], det.rho, distress[0], distress[1],
                     scen.transfer_size, scen.rho)

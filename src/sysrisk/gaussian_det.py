@@ -24,6 +24,7 @@ from .core import ConvergenceError, GaussianSystem
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 RESIDUAL_TOL = 1e-9   # |sum_i psi_i(m_i) - gamma| / max(1, gamma) at the solution
+_ROOT_MAX_STEPS = 60  # solve_r takes at most 11
 
 
 def norm_pdf(x):
@@ -37,22 +38,42 @@ def mills_sum(r: float) -> float:
     return r * float(scipy.special.ndtr(r)) + norm_pdf(r)
 
 
-def solve_r(target: float) -> float:
-    """Root R of R*Phi(R) + phi(R) = target for any target > 0.
+def _log_mills_sum(r: float) -> tuple[float, float]:
+    """log f(R) and its slope Phi(R)/f(R), f = ``mills_sum``.
 
-    The left side, E[(R - Z)^+], increases from 0 (R -> -inf) through
-    1/sqrt(2 pi) at R = 0 and exceeds max(R, 0), so Brent's bracket is
-    [-40, 0] for target < 1/sqrt(2 pi) and [-40, target + 1] above it (at
-    R = target the excess phi(R) - R Phi(-R) can round to 0).  target <= 0
-    is a domain error.
+    Below 0, f = e^(-R^2/2) (phi(0) + R erfcx(-R/sqrt 2)/2), so log f stays
+    finite and accurate where f itself underflows (R below about -38).
     """
-    if target <= 0.0:
-        raise ValueError("target must be positive")
-    hi = 0.0 if target < INV_SQRT_2PI else target + 1.0
-    r = scipy.optimize.brentq(lambda t: mills_sum(t) - target, -40.0, hi, xtol=1e-15, rtol=8.9e-16)
-    if abs(mills_sum(r) - target) > 1e-12 * max(1.0, target):
-        raise ConvergenceError("root residual above 1e-12 relative")
-    return float(r)
+    if r >= 0.0:
+        f = mills_sum(r)
+        return math.log(f), float(scipy.special.ndtr(r)) / f
+    half_erfcx = 0.5 * float(scipy.special.erfcx(-r / math.sqrt(2.0)))
+    scaled = INV_SQRT_2PI + r * half_erfcx
+    return math.log(scaled) - 0.5 * r * r, half_erfcx / scaled
+
+
+def solve_r(target: float) -> float:
+    """Root R of R*Phi(R) + phi(R) = target for any finite target > 0.
+
+    The left side f(R) = E[(R - Z)^+] is the integral of the log-concave
+    Phi, so it is log-concave and increasing, and exceeds max(R, 0).  Newton's
+    method on log f(R) = log target from R0 = max(target, 0) + 1, right of the
+    root, takes one step to the left of the root and then climbs to it
+    monotonically, quadratically once close: at most 11 steps for targets
+    from 5e-324 to 1e10.  It stops after a step below 1e-9 (1 + |R|), whose
+    successor would be below roundoff.  target <= 0 is a domain error.
+    """
+    if not 0.0 < target < math.inf:
+        raise ValueError("target must be positive and finite")
+    log_target = math.log(target)
+    r = max(float(target), 0.0) + 1.0
+    for _ in range(_ROOT_MAX_STEPS):
+        log_f, slope = _log_mills_sum(r)
+        step = (log_target - log_f) / slope
+        r += step
+        if abs(step) <= 1e-9 * (1.0 + abs(r)):
+            return r
+    raise ConvergenceError(f"solve_r: no root in {_ROOT_MAX_STEPS} Newton steps")
 
 
 def shortfall_expectation(m: float, mu: float, sigma: float, d: float = 0.0) -> float:

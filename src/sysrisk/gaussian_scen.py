@@ -31,8 +31,10 @@ and every derivative Newton needs is a univariate normal term of it.  So one
 evaluation, a single ``binorm_cdf`` call on 2N triples (each institution in
 both states), gives the residual, the Jacobian, the budget and the
 multiplier.  The bivariate CDF itself integrates the exact single-integral
-reduction with 32-point Gauss-Legendre panels, the panels of all triples
-stacked on one node grid; no library routine offers the 1e-12 absolute
+reduction with 32-point Gauss-Legendre panels up to 4 wide, narrower only
+where |r| > 0.6 makes the inner normal CDF's transition steeper than that;
+a typical triple takes 3 to 4 panels.  The panels of all triples are
+stacked on one node grid.  No library routine offers the 1e-12 absolute
 accuracy wanted here.
 
 ``solve_two_state_batch`` solves many independent systems of the same N with
@@ -52,12 +54,15 @@ import numpy as np
 import scipy
 
 from .core import ConvergenceError, GaussianSystem
-from .gaussian_det import INV_SQRT_2PI, norm_pdf, optimal_deterministic
+from .gaussian_det import INV_SQRT_2PI, DeterministicSolution, norm_pdf, optimal_deterministic
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CUTOFF = 9.0            # |x| beyond which Phi(x) is 0/1 to < 1e-18
 _TAIL_LOG = 39.0         # e^-39 ~ 1e-17: relative size of the neglected lower tail
+_PANEL_WIDTH = 4.0       # widest panel: 32 nodes resolve phi on it to roundoff
+_TRANSITION = 3.0        # widest panel in units of s/|r|, the inner Phi's transition scale
 _PANEL_BLOCK = 256       # panels per block of the node grid: 64 KiB per array of nodes
+_PDF_WEIGHTS = INV_SQRT_2PI * _GL_WEIGHTS
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 200
 _DISTRESS = np.array([[0.0], [1.0]])   # 1 in the distress row of a (calm, distress) pair
@@ -71,63 +76,85 @@ def binorm_cdf(h, k, r):
     shape, and is a float when all three are scalars.  Each element is the
     exact reduction  integral_{-inf}^{h} phi(x) Phi((k - r x)/sqrt(1-r^2)) dx,
     taken over the smaller of h and k (the CDF is symmetric in them), and
-    integrated with 32-point Gauss-Legendre panels whose width shrinks with
-    sqrt(1-r^2) so the inner transition stays resolved.  Absolute error
-    <= 1e-12.  The lower limit moves out from -9 (to no less than -16) where
-    the integrand's lower tail matters, so that probabilities far below
-    1e-12, down to the 0.0 returned for h or k <= -9, stay accurate relative
-    to their own size.  |r| = 1 collapses to the comonotone/antimonotone
-    closed forms, and a NaN in any argument gives NaN.  All panels of all
-    elements are evaluated on one stacked node grid, 256 panels at a time,
-    so a large batch's grid is never in memory whole; no value depends on
-    the block it falls in.
+    integrated with 32-point Gauss-Legendre panels of equal width.  A panel
+    is at most 4 wide: on the panels that carry the integral, 32 nodes
+    integrate phi to roundoff.  It is also at most 3 s/|r| wide,
+    s = sqrt(1-r^2), because the inner Phi turns from 1 to 0 over an x-scale
+    of s/|r| and that transition must span several panels; this bound takes
+    over for |r| > 0.6.  Over [-9.3, 0], the span of a typical element, that
+    is 3 panels up to |r| = 0.6, 4 at 0.7 and 10 at 0.95.  Absolute error
+    <= 1e-12.  The lower limit moves out from -9 (to no less than -16)
+    where the integrand's lower tail matters, so that probabilities far
+    below 1e-12, down to the 0.0 returned for h or k <= -9, stay accurate
+    relative to their own size.  |r| = 1 collapses to the comonotone/
+    antimonotone closed forms, and a NaN in any argument gives NaN.  All
+    panels of all elements are evaluated on one stacked node grid, 256
+    panels at a time, so a large batch's grid is never in memory whole; no
+    value depends on the block it falls in.
     """
-    h, k, r = (np.asarray(v, dtype=float) for v in (h, k, r))
-    if (np.abs(r) > 1.0 + 1e-12).any():     # NaN compares False
+    r = np.asarray(r, dtype=float)
+    lo, hi = np.minimum(h, k, dtype=float), np.maximum(h, k, dtype=float)
+    if lo.shape != r.shape:
+        lo, hi, r = np.broadcast_arrays(lo, hi, r)
+    shape = lo.shape
+    lo, hi, r = lo.ravel(), hi.ravel(), r.ravel()
+    size_r = np.abs(r)
+    if size_r.max(initial=0.0) > 1.0 + 1e-12:     # NaN compares False
         raise ValueError("correlation must lie in [-1, 1]")
-    zero = np.zeros(np.broadcast(h, k, r).shape) * r    # NaN where r is
-    lo, hi, r = np.minimum(h, k) + zero, np.maximum(h, k) + zero, r + zero
-    # closed forms, by precedence: r = 1 (or NaN), r = -1, then lo or hi
-    # beyond the cutoff
-    free = np.abs(r) < 1.0 - 1e-15
-    cdf_lo = scipy.special.ndtr(lo)
-    out = np.where(r <= -1.0 + 1e-15, np.maximum(0.0, cdf_lo + scipy.special.ndtr(hi) - 1.0),
-                   np.where(free & (lo <= -_CUTOFF), 0.0, cdf_lo))
+    free = size_r < 1.0 - 1e-15
     inner = free & (lo > -_CUTOFF) & (hi < _CUTOFF)
-    if inner.any():
-        # integrate over the lower limit lo, with k = hi
-        lo, hi, r = lo[inner], hi[inner], r[inner]
-        s = np.sqrt((1.0 - r) * (1.0 + r))
-        k_s, r_s = hi / s, r / s        # the inner argument is k_s - r_s x
-        # below a, phi is under e^-39 of phi(h0) * Phi_inner(h0), h0 = min(lo, 0),
-        # so small results keep their relative accuracy.  The inner Phi factor
-        # enters only for r > 0, where it grows to the left; there it is at
-        # least Phi(h0) because hi >= lo, which keeps a above -16.
-        h0 = np.minimum(lo, 0.0)
-        reach = h0 * h0 + 2.0 * _TAIL_LOG - 2.0 * np.where(
-            r > 0.0, scipy.special.log_ndtr(k_s - r_s * h0), 0.0
-        )
-        a = -np.maximum(_CUTOFF, np.sqrt(reach))
-        # inner Phi varies on the x-scale s/|r|; keep several panels per transition
-        width = np.minimum(0.5, 3.0 * s / np.maximum(np.abs(r), 0.1))
-        span = lo - a
-        n_panels = np.ceil(span / width).astype(int)     # >= 1: a <= -9 < lo
-        half = 0.5 * span / n_panels
-        # one row per panel, the elements' panels stacked back to back
-        first = np.cumsum(n_panels) - n_panels
-        owner = np.repeat(np.arange(lo.size), n_panels)
-        mid = a[owner] + half[owner] * (2 * (np.arange(owner.size) - first[owner]) + 1)
-        panel_sums = np.empty(owner.size)
-        for rows in range(0, owner.size, _PANEL_BLOCK):
-            rows = slice(rows, rows + _PANEL_BLOCK)
-            o = owner[rows]
-            x = mid[rows, None] + half[o, None] * _GL_NODES
-            f = norm_pdf(x) * scipy.special.ndtr(k_s[o, None] - r_s[o, None] * x)
-            # einsum rather than a BLAS product, so that no value depends on its batch
-            panel_sums[rows] = np.einsum("pn,n->p", f, _GL_WEIGHTS)
-        # positive terms, so only roundoff above 1 needs clipping
-        out[inner] = np.minimum(1.0, np.add.reduceat(panel_sums, first) * half)
-    return float(out) if out.ndim == 0 else out
+    if inner.all():
+        out = _orthant(lo, hi, r)
+    else:
+        # closed forms: r = 1 (NaN where r is) or hi beyond the cutoff, then
+        # r = -1, then lo beyond the cutoff
+        out = scipy.special.ndtr(lo) + 0.0 * r
+        anti = r <= -1.0 + 1e-15
+        if anti.any():
+            out[anti] = np.maximum(0.0, out[anti] + scipy.special.ndtr(hi[anti]) - 1.0)
+        out[free & (lo <= -_CUTOFF)] = 0.0
+        if inner.any():
+            out[inner] = _orthant(lo[inner], hi[inner], r[inner])
+    return float(out[0]) if not shape else out.reshape(shape)
+
+
+def _orthant(lo, hi, r):
+    """``binorm_cdf`` on flat arrays with |r| < 1 and -9 < lo <= hi < 9."""
+    s = np.sqrt((1.0 - r) * (1.0 + r))
+    k_s, r_s = hi / s, r / s        # the inner argument is k_s - r_s x
+    # below a, phi is under e^-39 of phi(h0) * Phi_inner(h0), h0 = min(lo, 0),
+    # so small results keep their relative accuracy.  The inner Phi factor
+    # enters only for r > 0, where it grows to the left; there it is at
+    # least Phi(h0) because hi >= lo, which keeps a above -16.
+    h0 = np.minimum(lo, 0.0)
+    tail = scipy.special.log_ndtr(k_s - r_s * h0)
+    tail[r <= 0.0] = 0.0
+    span = lo + np.sqrt(np.maximum(_CUTOFF**2, h0 * h0 + 2.0 * (_TAIL_LOG - tail)))   # lo - a
+    # equal panels at most _PANEL_WIDTH and _TRANSITION * s/|r| wide
+    counts = np.ceil(span * np.maximum(1.0 / _PANEL_WIDTH, np.abs(r_s) / _TRANSITION))
+    half = 0.5 * span / counts
+    counts = counts.astype(np.intp)         # >= 1: span > 0
+    # one row per panel, the elements' panels stacked back to back, each
+    # element's running down from lo
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(lo.size), counts)
+    half_p, k_p, r_p = half[owner], k_s[owner], r_s[owner]
+    mid = lo[owner] - half_p * (2 * (np.arange(owner.size) - first[owner]) + 1)
+    panel_sums = np.empty(owner.size)
+    for rows in range(0, owner.size, _PANEL_BLOCK):
+        rows = slice(rows, rows + _PANEL_BLOCK)
+        x = half_p[rows, None] * _GL_NODES
+        x += mid[rows, None]
+        f = r_p[rows, None] * x
+        np.subtract(k_p[rows, None], f, out=f)
+        scipy.special.ndtr(f, out=f)
+        x *= x
+        x *= -0.5
+        f *= np.exp(x, out=x)
+        # einsum rather than a BLAS product, so that no value depends on its batch
+        panel_sums[rows] = np.einsum("pn,n->p", f, _PDF_WEIGHTS)
+    # positive terms, so only roundoff above 1 needs clipping
+    return np.minimum(1.0, np.add.reduceat(panel_sums, first) * half)
 
 
 @dataclass(eq=False)
@@ -267,6 +294,7 @@ class TwoStateSolution:
     residual: float          # sup-norm of the first-order system at the solution
     iterations: int
     converged: bool
+    deterministic: DeterministicSolution   # the optimum with alpha = 0: Newton's start
 
     @property
     def calm_allocation(self) -> np.ndarray:
@@ -460,6 +488,7 @@ def _newton(group, outcomes: list) -> None:
             residual=residual,
             iterations=iterations[row],
             converged=True,
+            deterministic=dets[g],
         )
 
     def fail(row, message):

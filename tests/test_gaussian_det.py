@@ -1,12 +1,15 @@
 """Deterministic capital for jointly normal positions."""
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from sysrisk import gaussian_det
 from sysrisk.core import GaussianSystem
 from sysrisk.gaussian_det import (
     INV_SQRT_2PI,
@@ -57,8 +60,33 @@ class TestSolveR:
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            solve_r(-0.1)
+        for target in (-0.1, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                solve_r(target)
+
+    def test_matches_brentq(self, monkeypatch):
+        # Newton on log f against Brent on f, from 1e-280 to 1e6, in at most
+        # 13 steps; below 1e-280 f's direct form, which Brent reads, cancels
+        steps = []
+        real = gaussian_det._log_mills_sum
+        monkeypatch.setattr(gaussian_det, "_log_mills_sum", lambda r: steps.append(r) or real(r))
+        for target in np.logspace(-280, 6, 300):
+            hi = 0.0 if target < INV_SQRT_2PI else target + 1.0
+            ref = brentq(lambda t: mills_sum(t) - target, -40.0, hi, xtol=1e-15, rtol=8.9e-16)
+            steps.clear()
+            assert solve_r(target) == pytest.approx(ref, rel=4e-13, abs=1e-15)
+            assert len(steps) <= 13
+
+    def test_tiny_targets_in_log_terms(self):
+        # for R <= -36, f(R) = phi(R) sum_n (-1)^(n+1) (2n-1)!! / R^(2n), the
+        # asymptotic series of 1 - |R| Phi(R) / phi(R), to 1e-17 after 8 terms
+        for target in (1e-300, 1e-320, 5e-324):
+            r = solve_r(target)
+            assert r < -36.0
+            series = sum((-1) ** (n + 1) * math.prod(range(1, 2 * n, 2)) / r ** (2 * n)
+                         for n in range(1, 9))
+            log_f = -0.5 * r * r - 0.5 * math.log(2.0 * math.pi) + math.log(series)
+            assert log_f == pytest.approx(math.log(target), rel=1e-14)
 
 
 def test_shortfall_expectation_matches_quadrature():

@@ -6,11 +6,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
 from sysrisk import gaussian_scen
-from sysrisk.cli import main, parse_sweep
+from sysrisk.cli import main, parse_sweep, table_1
 from sysrisk.core import ConvergenceError, GaussianSystem
 from sysrisk.gaussian_det import optimal_deterministic, shortfall_expectation
 from sysrisk.gaussian_scen import (
@@ -158,6 +159,47 @@ def test_binorm_state_probabilities_relative_accuracy():
     h, k, r = np.array([t[5:] for t in rows]).T
     keep = log_ref >= math.log(1e-90)
     assert keep.sum() >= 300 and log_ref[keep].min() < math.log(1e-60)
+    got = binorm_cdf(h[keep], k[keep], r[keep])
+    assert got == pytest.approx(np.exp(log_ref[keep]), rel=2e-12, abs=0.0)
+
+
+def _exact_corr_system(r):
+    """Two banks with X_1 standard, sd(S) = 1 and corr(X_1, S) = r.  For r =
+    +-(1 - m 2^-p) with a short m, r^2, 1 - r^2 and the moments the reference
+    reads from the covariance are exact, so the kernel and the reference get
+    the same triple even where 1 - r^2 is 3e-5."""
+    return GaussianSystem(np.zeros(2), np.array([[1.0, r - 1.0], [r - 1.0, 2.0 * (1.0 - r)]]))
+
+
+# 92 correlations, |r| = 0 to 0.9999847: the panel cap sets the panels up to
+# |r| = 0.6 and the transition rule above; 52 lie in [0.99, 0.99999]
+_DENSE_CORR = sorted(sgn * (1.0 - m * 2.0**-p) for p in range(17) for m in (1, 3, 5)
+                     if m * 2.0**-p <= 1.0 for sgn in (1.0, -1.0))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_binorm_dense_relative_accuracy():
+    """Against tests/two_state_reference.log_state_probability on a dense grid
+    of correlations, h from -8.5 to 2, triggers from -2.5 to 2.5 and both
+    states, every probability down to 1e-90 is accurate to 2e-12 of its own
+    size.  The reference integrates over X_1, so the grid keeps h <= k, the
+    side the kernel integrates over too.  quad reports that it cannot
+    certify its 1e-13 on a few far-tail rows; the comparison bounds both."""
+    rows = []
+    for corr in _DENSE_CORR:
+        system = _exact_corr_system(corr)
+        assert system.cov.sum() == 1.0 and system.cov[0].sum() == corr
+        for h in (-8.5, -7.0, -5.0, -3.0, -1.5, -0.5, 0.5, 2.0):
+            for trigger in (-2.5, -1.0, 0.0, 1.0, 2.5):
+                for calm in (True, False):
+                    k, r = (-trigger, -corr) if calm else (trigger, corr)
+                    if h <= k:
+                        rows.append((h, k, r, log_state_probability(system, 0, h, trigger, calm)))
+    h, k, r, log_ref = np.array(rows).T
+    keep = log_ref >= math.log(1e-90)
+    near_one = keep & (np.abs(r) >= 0.99)
+    assert keep.sum() >= 1000 and near_one.sum() >= 500 and (near_one & (r <= -0.99)).sum() >= 250
+    assert log_ref[keep].min() < math.log(1e-80) and h[near_one].min() == -8.5
     got = binorm_cdf(h[keep], k[keep], r[keep])
     assert got == pytest.approx(np.exp(log_ref[keep]), rel=2e-12, abs=0.0)
 
@@ -442,6 +484,33 @@ def test_one_evaluation_per_iterate(corr, monkeypatch):
     sol = solve_two_state(system, GAMMA, trigger=TRIGGER)
     assert len(sizes) == sol.iterations + 1
     assert sum(sizes) == 2 * system.n * (sol.iterations + 1)
+
+
+def test_kernel_nodes_per_triple_on_table_1(monkeypatch):
+    """Work budget of the kernel: on the table-1 solves (corr(X_i, S) from
+    0.19 to 0.99) ``binorm_cdf`` evaluates Phi at 231 nodes per triple, about
+    7 panels of 32.  Panels capped at width 0.5 took 536."""
+    real_ndtr = scipy.special.ndtr
+    counts = {"nodes": 0, "triples": 0, "inside": False}
+
+    def ndtr(x, *args, **kwargs):
+        if counts["inside"]:
+            counts["nodes"] += np.size(x)
+        return real_ndtr(x, *args, **kwargs)
+
+    def counted(h, k, r):
+        counts["triples"] += np.broadcast(h, k, r).size
+        counts["inside"] = True
+        try:
+            return binorm_cdf(h, k, r)
+        finally:
+            counts["inside"] = False
+
+    monkeypatch.setattr(scipy.special, "ndtr", ndtr)
+    monkeypatch.setattr(gaussian_scen, "binorm_cdf", counted)
+    table_1()
+    assert counts["triples"] == 100
+    assert counts["nodes"] <= 232 * counts["triples"]
 
 
 def _counted_solves(monkeypatch, run):

@@ -58,7 +58,7 @@ def first_calls() -> dict[str, str]:
     system = GaussianSystem(np.zeros(2), np.array([[1.0, 0.5], [0.5, 4.0]]))
     results = {
         "logsumexp": solve_grouped(x, np.full(2, 0.3), 1.0, [[0, 1]]),
-        "brentq ndtr": optimal_deterministic(system, 0.7),
+        "ndtr erfcx": optimal_deterministic(system, 0.7),
         "ndtr log_ndtr": binorm_cdf(0.3, -0.2, 0.5),
         "expm": central_clearing_moments(0.5, 1.0, 0.5, 0.2, 0.1, 10, 1.0),
         "sparse linprog": numeric_rho(x, FullyFlexible(), ShortfallSum(np.zeros(2)),
@@ -66,6 +66,23 @@ def first_calls() -> dict[str, str]:
     }
     assert results["sparse linprog"].diagnostics["method"] == "lp"
     return {name: repr(_plain(out)) for name, out in results.items()}
+
+
+def test_gaussian_cli_loads_no_scipy_optimize(tmp_path):
+    """The Gaussian solvers find their roots by Newton's method, so a fresh
+    ``sysrisk --table 1`` loads scipy.special and nothing of scipy.optimize."""
+    code = ("import sys, sysrisk.cli; "
+            f"assert sysrisk.cli.main(['--table', '1', '--out', {str(tmp_path / 't1.csv')!r}]) == 0; "
+            f"print([name for name in {LAZY!r} if name in sys.modules])")
+    paths = [str(Path(sysrisk.__file__).parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.replace("'", '"')) == ["scipy.special"]
 
 
 def test_import_loads_no_scipy_submodule_and_first_use_matches():

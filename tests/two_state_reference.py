@@ -79,6 +79,9 @@ def log_state_probability(system, i, x, trigger, calm):
     Phi(a + b z) is P(S > trigger | z) or P(S <= trigger | z).  The integrand
     is divided by its value at z = h before integrating over w = h - z, so
     the quadrature sees an O(1) function whatever the size of the result.
+    w is measured in units of 1/sqrt(1 + b^2), the narrowest width the
+    integrand's log-concave peak can have, so that the quadrature still sees
+    its features when |corr(X_i, S)| is near 1 and b is in the hundreds.
     """
     cov, mu = system.cov, system.mu
     sd_i = math.sqrt(cov[i, i])
@@ -94,11 +97,12 @@ def log_state_probability(system, i, x, trigger, calm):
         return -0.5 * z * z + float(log_ndtr(a + b * z))
 
     top = log_integrand(h)
+    scale = math.sqrt(1.0 + b * b)
     val, _ = quad(
-        lambda w: math.exp(log_integrand(h - w) - top),
+        lambda u: math.exp(log_integrand(h - u / scale) - top),
         0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200,
     )
-    return top - 0.5 * math.log(2.0 * math.pi) + math.log(val)
+    return top - 0.5 * math.log(2.0 * math.pi) + math.log(val / scale)
 
 
 def _bracket_root(f, centre, width=1.0):
