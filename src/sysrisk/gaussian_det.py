@@ -25,6 +25,7 @@ from .core import ConvergenceError, GaussianSystem
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 RESIDUAL_TOL = 1e-9   # |sum_i psi_i(m_i) - gamma| / max(1, gamma) at the solution
 _ROOT_MAX_STEPS = 60  # solve_r takes at most 11
+_PDF_UNDERFLOW = 40.0  # phi(R) is exactly 0.0 in floating point from here on
 
 
 def norm_pdf(x):
@@ -34,7 +35,13 @@ def norm_pdf(x):
 
 
 def mills_sum(r: float) -> float:
-    """R*Phi(R) + phi(R): expected undershoot E[(R - Z)^+] of a standard normal."""
+    """R*Phi(R) + phi(R): expected undershoot E[(R - Z)^+] of a standard normal.
+
+    From R = 40 on, phi(R) < 1e-347 underflows to 0, so the term is skipped
+    there; squaring R for it would overflow above about 1.3e154.
+    """
+    if r >= _PDF_UNDERFLOW:
+        return r * float(scipy.special.ndtr(r))
     return r * float(scipy.special.ndtr(r)) + norm_pdf(r)
 
 

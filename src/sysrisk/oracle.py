@@ -506,7 +506,12 @@ def numeric_rho(
     criterion: AcceptanceCriterion,
 ) -> RiskResult:
     """Cheapest acceptable allocation in the given class; see module docstring."""
-    cls = _fitted_class(cls, x.n, x.m)
+    return _rho_of_fitted(x, _fitted_class(cls, x.n, x.m), lam, criterion)
+
+
+def _rho_of_fitted(x: RiskVector, cls: AllocationClass, lam: Aggregation,
+                   criterion: AcceptanceCriterion) -> RiskResult:
+    """``numeric_rho`` for a class ``_fitted_class`` has already checked."""
     if isinstance(criterion, (WorstCase, ExpectedShortfall)) and isinstance(
         lam, ExponentialLoss
     ):
@@ -582,9 +587,10 @@ def numeric_rho_family(
     name the case and trace every (m, c(m)) probed.
     """
     trace: list[tuple[float, float]] = []      # (level m, cost c(m)) per probe
+    cls = _fitted_class(cls, x.n, x.m)         # once, not once per probe
 
     def cost(m: float) -> RiskResult:
-        res = numeric_rho(x, cls, lam, ExpectationFloor(-theta(m)))
+        res = _rho_of_fitted(x, cls, lam, ExpectationFloor(-theta(m)))
         trace.append((m, res.rho))
         return res
 

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -76,6 +78,21 @@ class TestSolveR:
             steps.clear()
             assert solve_r(target) == pytest.approx(ref, rel=4e-13, abs=1e-15)
             assert len(steps) <= 13
+
+    def test_huge_targets_raise_no_overflow(self):
+        # f(R) = R once phi(R) underflows, so R = target; squaring R for phi
+        # overflows from about 1.3e154 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target in [*np.geomspace(1e155, 1.7e308, 60), 1.7976931348623157e308]:
+                assert abs(solve_r(float(target)) - target) <= 1e-12 * target
+                assert mills_sum(float(target)) == target
+
+    def test_mills_sum_keeps_its_bits_below_the_cutoff(self):
+        # the phi term is skipped only where it is exactly 0.0
+        for r in (-3.0, 0.0, 1.0, 38.0, 39.999999):
+            assert mills_sum(r) == r * float(scipy.special.ndtr(r)) + norm_pdf(r)
+        assert norm_pdf(gaussian_det._PDF_UNDERFLOW) == 0.0
 
     def test_tiny_targets_in_log_terms(self):
         # for R <= -36, f(R) = phi(R) sum_n (-1)^(n+1) (2n-1)!! / R^(2n), the

@@ -693,19 +693,48 @@ def test_schedule_answer_on_a_flat_end_is_one_cost(four_bank_example, monkeypatc
     x, alphas, gamma = four_bank_example
     lam = ExponentialLoss(alphas)
     theta = ThetaMap(np.array(levels), gamma * np.array(budgets))
-    calls = []
+    calls, probe = [], oracle._rho_of_fitted
 
     def counted(*args):
         calls.append(args)
-        return numeric_rho(*args)
+        return probe(*args)
 
-    monkeypatch.setattr(oracle, "numeric_rho", counted)
+    monkeypatch.setattr(oracle, "_rho_of_fitted", counted)
     res = numeric_rho_family(x, FullyFlexible(), lam, theta)
+    assert len(calls) <= 2
     direct = numeric_rho(x, FullyFlexible(), lam, ExpectationFloor(-theta(levels[end])))
     assert res.rho == direct.rho
     np.testing.assert_array_equal(res.allocation, direct.allocation)
-    assert len(calls) <= 2
     assert res.diagnostics["method"] == "family-flat-end"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grouped_family_normalises_its_partition_once(monkeypatch, seed):
+    x, alphas, gamma = sample_instance(seed, n=4, low=-30.0, high=30.0)
+    rng = np.random.default_rng(seed)
+    raw = Grouped(((3, 1), (0,), (2,)))                # normalised: ((0,), (1, 3), (2,))
+    lam = ExponentialLoss(alphas)
+    levels = np.sort(rng.uniform(-60.0, 60.0, 3))
+    theta = ThetaMap(levels, gamma * np.sort(rng.uniform(0.2, 3.0, 3)))
+    probe = oracle._rho_of_fitted
+
+    # the behaviour before: every probe checks and normalises the raw class anew
+    monkeypatch.setattr(oracle, "_rho_of_fitted",
+                        lambda x, cls, *rest: probe(x, oracle._fitted_class(raw, x.n, x.m), *rest))
+    before = numeric_rho_family(x, raw, lam, theta)
+    monkeypatch.setattr(oracle, "_rho_of_fitted", probe)
+    calls, normalize = [], oracle.normalize_partition
+
+    def counted(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(oracle, "normalize_partition", counted)
+    res = numeric_rho_family(x, raw, lam, theta)
+    assert len(calls) == 1
+    assert res.rho == before.rho
+    np.testing.assert_array_equal(res.allocation, before.allocation)
+    assert res.diagnostics == before.diagnostics
 
 
 @pytest.mark.parametrize(
