@@ -143,18 +143,20 @@ def sensitivities(system: GaussianSystem, gamma: float, d=None) -> Deterministic
     """Exact first-order response of the deterministic optimum.
 
     dm_i/dmu_i = -1 (means shift capital one for one, R does not move).
-    dR/dsigma_k = -(R + phi(R)/Phi(R)) / S with S = sum sigma, and hence
+    dR/dsigma_k = -h / S with S = sum sigma and h = R + phi(R)/Phi(R), and hence
 
-        dm_i/dsigma_k = (sigma_i/S) (R + phi(R)/Phi(R)) - delta_ik R.
+        dm_i/dsigma_k = (sigma_i/S) h - delta_ik R.
 
-    While R < 0 (gamma / S < 1/sqrt(2 pi)) the diagonal dm_i/dsigma_i is
-    strictly positive: more volatile institutions require more capital.
+    h = f(R)/Phi(R), f = ``mills_sum``, is read from ``_log_mills_sum``, which
+    stays finite where Phi(R) underflows (R below about -37.5).  While R < 0
+    the diagonal dm_i/dsigma_i is strictly positive: more volatile
+    institutions require more capital.
     """
     sol = optimal_deterministic(system, gamma, d)
     sigma = system.sigma
     s = float(sigma.sum())
     r = sol.r_star
-    hazard = r + norm_pdf(r) / float(scipy.special.ndtr(r))
+    hazard = 1.0 / _log_mills_sum(r)[1]
     dr_dsigma = np.full(system.n, -hazard / s)
     dm_dsigma = np.outer(sigma / s, np.full(system.n, hazard)) - r * np.eye(system.n)
     return DeterministicSensitivities(

@@ -229,19 +229,19 @@ def simulate_paths(
 
     Counter-based RNG: path chunk c draws from Philox(key=[seed, c]), so the
     chunk key fixes the stream and the sample is reproducible bit for bit.
-    Each path draws one common-factor increment per step, which all of its
-    institutions share; each institution adds its own idiosyncratic noise.
+    Each step is one affine map x <- x @ (I - dt L') + z @ B of the paths'
+    positions, z the path's n + 1 normals (common factor, then one per
+    institution) and B = sqrt(dt) [sigma o rho ; diag(sigma o sqrt(1 - rho^2))].
     """
     if paths < 1 or steps < 1:
         raise ValueError("paths and steps must be positive")
     if t <= 0.0:
         raise ValueError("t must be positive")
     n = model.n
-    lap = model.laplacian()
     dt = t / steps
-    sqrt_dt = math.sqrt(dt)
-    common = model.sigma * model.rho_common
-    idio = model.sigma * np.sqrt(1.0 - model.rho_common**2)
+    sigma, rho = model.sigma, model.rho_common
+    drift = np.eye(n) - dt * model.laplacian().T
+    loading = math.sqrt(dt) * np.vstack([sigma * rho, np.diag(sigma * np.sqrt(1.0 - rho**2))])
     out = np.empty((paths, n))
     for start in range(0, paths, _CHUNK):
         count = min(_CHUNK, paths - start)
@@ -250,12 +250,7 @@ def simulate_paths(
         )
         x = np.tile(model.x0, (count, 1))
         for _ in range(steps):
-            draws = rng.standard_normal((count, n + 1))
-            x += (
-                -(x @ lap.T) * dt
-                + draws[:, :1] * (common * sqrt_dt)
-                + draws[:, 1:] * (idio * sqrt_dt)
-            )
+            x = x @ drift + rng.standard_normal((count, n + 1)) @ loading
         out[start : start + count] = x
     mean = out.mean(axis=0)
     cov = np.cov(out, rowvar=False).reshape(n, n)

@@ -3,10 +3,15 @@ exit codes, and byte-level reproducibility."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sysrisk
 from sysrisk import gaussian_scen
 from sysrisk.cli import TABLES, apply_sweep_value, fmt, main, parse_sweep
 
@@ -321,16 +326,34 @@ def test_correlation_sweep_trend(tmp_path):
     assert vals == sorted(vals)  # diversification helps most when negative
 
 
-def test_sweep_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    src = write_json(tmp_path, "model.json", TWO_BANK)
-    argv = ["--solver", "gaussian-scen", "--input", src, "--sweep", "trigger:0:4:1"]
-    one = tmp_path / "one.csv"
-    two = tmp_path / "two.csv"
-    monkeypatch.setenv("SYSRISK_THREADS", "1")
-    assert main([*argv, "--out", str(one)]) == 0
-    monkeypatch.setenv("SYSRISK_THREADS", "4")
-    assert main([*argv, "--out", str(two)]) == 0
-    assert one.read_bytes() == two.read_bytes()
+README_OU = {
+    "rates": [[0, 0.55, 0.55], [0.55, 0, 0.55], [0.55, 0.55, 0]],
+    "sigma": [1, 1, 1], "rho_common": [0.4, 0.4, 0.4],
+    "x0": [0, 0, 0], "t": 1.0, "paths": 20000, "steps": 250,
+}
+
+
+def test_sweep_thread_count_does_not_change_bytes(tmp_path):
+    """BLAS reads its thread count once, at start-up, so each run is a fresh
+    interpreter: a gaussian-scen trigger sweep, and the README ou input with
+    paths, whose Euler steps are two BLAS products each."""
+    runs = [
+        ["--solver", "gaussian-scen", "--input", write_json(tmp_path, "scen.json", TWO_BANK),
+         "--sweep", "trigger:0:4:1"],
+        ["--solver", "ou", "--input", write_json(tmp_path, "ou.json", README_OU)],
+    ]
+    src = str(Path(sysrisk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in runs:
+        stdout = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "sysrisk.cli", *argv],
+                                  capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            stdout.append(proc.stdout)
+        assert stdout[0] == stdout[1]
 
 
 def _per_value_loop(tmp_path, capsys, payload, spec):

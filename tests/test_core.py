@@ -288,6 +288,7 @@ def test_warm_start_solves_about_once_per_defaulting_scenario(monkeypatch):
     defaulting = int((losses > 0.0).any(axis=0).sum())
     # fictitious default from {x > 0} alone solves 1.91 per scenario here
     assert sum(matrices) <= 1.05 * defaulting
+    assert defaulting > core._CLEARING_BATCH >= max(matrices)
 
 
 def test_spectral_radius_of_known_matrix():
@@ -304,6 +305,22 @@ def test_spectral_radius_of_periodic_matrix():
 def test_eisenberg_noe_rejects_super_stochastic_rows():
     with pytest.raises(ValueError, match="sum to at most 1"):
         EisenbergNoe(np.array([[0.0, 1.2], [0.0, 0.0]]))
+
+
+def test_eisenberg_noe_checks_pi_only_at_construction(monkeypatch):
+    rng = np.random.default_rng(37)
+    pi = _liability_shares(rng, 8)
+    x = rng.normal(0.2, 1.0, (8, 300))
+    lam = EisenbergNoe(pi)
+    expected = -clearing_vector(pi, -x).sum(axis=0)
+
+    def refused(a):
+        raise AssertionError("pi was checked again after construction")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    assert np.array_equal(lam.per_scenario(x), expected)
+    assert np.array_equal(aggregate_scenarios(lam, x), expected)
+    assert aggregate(lam, x[:, 0]) == expected[0]
 
 
 def test_eisenberg_noe_aggregation_is_nonpositive_and_monotone():

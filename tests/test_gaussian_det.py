@@ -219,3 +219,21 @@ class TestSensitivities:
     def test_own_volatility_always_costs_capital(self):
         sens = sensitivities(self.sys_, 0.7)
         assert np.all(np.diag(sens.dm_dsigma) > 0.0)
+
+    def test_finite_where_phi_underflows(self):
+        # R is about -37.9 here, where ndtr(R) is 0.0 in floating point
+        sens = sensitivities(GaussianSystem(np.zeros(2), np.eye(2)), 1e-315)
+        assert np.isfinite(sens.dm_dsigma).all() and np.isfinite(sens.dr_dsigma).all()
+        assert np.all(np.diag(sens.dm_dsigma) > 0.0)
+
+    def test_hazard_against_mpmath(self):
+        """dR/dsigma_k = -(R + phi(R)/Phi(R)) / S, against a 60-digit reference
+        for R from about -37 to 30 (the direct form is off by up to 3e-10)."""
+        mpmath = pytest.importorskip("mpmath")
+        system = GaussianSystem(np.zeros(2), np.diag([1.0, 9.0]))
+        for gamma in 4.0 * np.logspace(-300.0, math.log10(30.0), 301):
+            sens = sensitivities(system, gamma)
+            with mpmath.workdps(60):
+                r = mpmath.mpf(optimal_deterministic(system, gamma).r_star)
+                hazard = r + mpmath.npdf(r) / mpmath.ncdf(r)
+                assert abs(float(-4.0 * sens.dr_dsigma[0] / hazard) - 1.0) <= 2e-12

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from sysrisk.core import GaussianSystem
 from sysrisk.ou_network import (
+    _CHUNK,
     CentralClearingMoments,
     NetworkModel,
     central_clearing_moments,
@@ -280,6 +281,38 @@ def test_simulation_is_reproducible():
     np.testing.assert_array_equal(a.cov, b.cov)
     c = simulate_paths(model, 0.5, paths=2_000, steps=50, seed=8)
     assert not np.array_equal(a.mean, c.mean)
+
+
+def _five_term_euler(model, t, paths, steps, seed):
+    """Euler-Maruyama written term by term: drift, common factor, idiosyncratic noise."""
+    n, dt = model.n, t / steps
+    lap = model.laplacian()
+    common = model.sigma * model.rho_common * math.sqrt(dt)
+    idio = model.sigma * np.sqrt(1.0 - model.rho_common**2) * math.sqrt(dt)
+    chunks = []
+    for start in range(0, paths, _CHUNK):
+        count = min(_CHUNK, paths - start)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed, start // _CHUNK], dtype=np.uint64))
+        )
+        x = np.tile(model.x0, (count, 1))
+        for _ in range(steps):
+            z = rng.standard_normal((count, n + 1))
+            x = x - (x @ lap.T) * dt + z[:, :1] * common + z[:, 1:] * idio
+        chunks.append(x)
+    return np.vstack(chunks)
+
+
+def test_affine_step_is_the_euler_scheme():
+    rates = np.array([[0.0, 0.7, 0.2], [0.7, 0.0, 1.1], [0.2, 1.1, 0.0]])
+    model = NetworkModel(rates, np.array([1.0, 0.5, 2.0]), np.array([0.4, -0.3, 0.9]),
+                         np.array([1.0, -0.5, 2.0]))
+    paths, steps, seed = 70_000, 20, 11
+    assert paths > _CHUNK
+    ref = _five_term_euler(model, 0.8, paths, steps, seed)
+    sm = simulate_paths(model, 0.8, paths=paths, steps=steps, seed=seed)
+    np.testing.assert_allclose(sm.mean, ref.mean(axis=0), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(sm.cov, np.cov(ref, rowvar=False), rtol=1e-12, atol=0.0)
 
 
 def test_simulation_records_its_shape():
