@@ -216,7 +216,7 @@ class GainLossWeighted:
         return (self.alpha[:, None] * loss + self.beta[:, None] * gain).sum(axis=0)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class EisenbergNoe:
     """Aggregation through an interbank clearing network.
 
@@ -226,13 +226,15 @@ class EisenbergNoe:
     the clearing problem has a unique least solution.  The aggregated outcome
     of a scenario is minus the total cleared loss of the system when the
     scenario's losses (-x) are pushed through the network, which makes the
-    map increasing in x.  pi is checked here once, not on every per_scenario.
+    map increasing in x.  pi is checked here once, not on every per_scenario,
+    so the instance is frozen and keeps a read-only copy: no later write skips
+    the check.
     """
 
     pi: np.ndarray
 
     def __post_init__(self):
-        p = _as_float_array(self.pi, "pi", 2)
+        p = _as_float_array(self.pi, "pi", 2).copy()
         if p.shape[0] != p.shape[1]:
             raise ValueError("pi must be square")
         if np.any(p < 0.0):
@@ -241,7 +243,8 @@ class EisenbergNoe:
             raise ValueError("rows of pi must sum to at most 1")
         if spectral_radius(p) >= 1.0:
             raise ValueError("spectral radius of pi must be < 1")
-        self.pi = p
+        p.flags.writeable = False
+        object.__setattr__(self, "pi", p)
 
     def per_scenario(self, x: np.ndarray) -> np.ndarray:
         return -_clear(self.pi, -x).sum(axis=0)

@@ -323,6 +323,24 @@ def test_eisenberg_noe_checks_pi_only_at_construction(monkeypatch):
     assert aggregate(lam, x[:, 0]) == expected[0]
 
 
+def test_eisenberg_noe_pi_cannot_bypass_its_check():
+    # pi is checked only at construction, so the instance holds its own
+    # read-only copy and refuses reassignment
+    rng = np.random.default_rng(41)
+    pi = _liability_shares(rng, 6)
+    x = rng.normal(0.2, 1.0, (6, 50))
+    lam = EisenbergNoe(pi)
+    expected = aggregate_scenarios(lam, x)
+    with pytest.raises(AttributeError):
+        lam.pi = np.array([[0.0, 1.5], [1.5, 0.0]])
+    with pytest.raises(ValueError, match="read-only"):
+        lam.pi[0, 1] = 1.5
+    pi[:] = 0.0
+    assert lam.pi.any()
+    assert np.array_equal(aggregate_scenarios(lam, x), expected)
+    assert np.array_equal(expected, -clearing_vector(lam.pi, -x).sum(axis=0))
+
+
 def test_eisenberg_noe_aggregation_is_nonpositive_and_monotone():
     lam = EisenbergNoe(np.array([[0.0, 0.4], [0.4, 0.0]]))
     x = np.array([[1.0, -3.0], [2.0, -1.0]])

@@ -1,11 +1,12 @@
 """Grouped exponential allocations on finite scenario spaces."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-import scipy.special
 
+from sysrisk import finite_alloc
 from sysrisk.core import RiskVector, ScenarioSpace
 from sysrisk.finite_alloc import (
     MAX_SWEEP_INSTITUTIONS,
@@ -326,20 +327,54 @@ def test_group_sweep_equals_solve_grouped_exactly(n, seed):
 
 
 def test_group_sweep_solves_each_block_once(monkeypatch):
-    # one logsumexp per block constant: 2^n - 1 blocks, not one per group of
+    # one log-sum-exp per block constant: 2^n - 1 blocks, not one per group of
     # every partition (151 at n = 5)
     calls = []
-    real = scipy.special.logsumexp
+    real = finite_alloc._logsumexp
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(a):
+        calls.append(a)
+        return real(a)
 
-    monkeypatch.setattr(scipy.special, "logsumexp", counted)
+    monkeypatch.setattr(finite_alloc, "_logsumexp", counted)
     n = 5
     x, alphas, gamma = _sweep_instance(5, n)
     assert len(group_sweep(x, alphas, gamma)) == 52
     assert len(calls) == 2**n - 1
+
+
+def _lse_vectors():
+    """Seeded vectors of length 1 to 40: spread O(1), all entries equal (the
+    log(count) path), tied maxima, spreads of several hundred around 1e4, and
+    one entry more than 745 above the rest, whose terms then underflow to 0
+    (the rest == 0 path)."""
+    rng = np.random.default_rng(1962)
+    for m in range(1, 41):
+        yield rng.normal(0.0, 1.0, m)
+        yield np.full(m, rng.normal(0.0, 100.0))
+        yield np.round(rng.normal(0.0, 2.0, m))
+        yield rng.uniform(-800.0, 0.0, m) + rng.normal(0.0, 1e4)
+        far = rng.normal(0.0, 1.0, m)
+        far[rng.integers(m)] += rng.uniform(750.0, 1500.0)
+        yield far
+
+
+def test_logsumexp_matches_50_digit_reference():
+    mpmath = pytest.importorskip("mpmath")
+    rest_zero = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, underflow or invalid warnings
+        for a in _lse_vectors():
+            got = finite_alloc._logsumexp(a)
+            with mpmath.workdps(50):
+                exact = mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(v)) for v in a.tolist()))
+                err = abs(mpmath.mpf(got) - exact)
+            # the last step adds the shift a.max(), so the rounding error is
+            # bounded in ulps of the larger of the result and the shift
+            assert err <= 2 * np.spacing(max(abs(got), abs(a.max()))), (a, got)
+            below = a[a < a.max()]
+            rest_zero += below.size > 0 and not np.exp(below - a.max()).any()
+    assert rest_zero >= 39
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ each submodule loads the first time a solver reads it.  Inside pytest the
 test modules have already imported scipy, which would hide a broken first
 use, so the check runs in a fresh interpreter.
 """
+import ast
 import dataclasses
 import json
 import os
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import sysrisk
 from sysrisk import (
@@ -24,6 +26,7 @@ from sysrisk import (
     ShortfallSum,
     binorm_cdf,
     central_clearing_moments,
+    finite_alloc,
     numeric_rho,
     optimal_deterministic,
     solve_grouped,
@@ -52,12 +55,13 @@ def _plain(value):
 
 
 def first_calls() -> dict[str, str]:
-    """One call per lazily loaded scipy name, keyed by the names it reads."""
+    """One call per lazily loaded scipy name, keyed by the names it reads, and
+    one grouped solve, which reads none."""
     x = RiskVector(ScenarioSpace(np.array([0.5, 0.3, 0.2])),
                    np.array([[4.0, -2.0, 1.0], [-1.0, 3.0, -0.5]]))
     system = GaussianSystem(np.zeros(2), np.array([[1.0, 0.5], [0.5, 4.0]]))
     results = {
-        "logsumexp": solve_grouped(x, np.full(2, 0.3), 1.0, [[0, 1]]),
+        "numpy only": solve_grouped(x, np.full(2, 0.3), 1.0, [[0, 1]]),
         "ndtr erfcx": optimal_deterministic(system, 0.7),
         "ndtr log_ndtr": binorm_cdf(0.3, -0.2, 0.5),
         "expm": central_clearing_moments(0.5, 1.0, 0.5, 0.2, 0.1, 10, 1.0),
@@ -68,21 +72,56 @@ def first_calls() -> dict[str, str]:
     return {name: repr(_plain(out)) for name, out in results.items()}
 
 
-def test_gaussian_cli_loads_no_scipy_optimize(tmp_path):
-    """The Gaussian solvers find their roots by Newton's method, so a fresh
-    ``sysrisk --table 1`` loads scipy.special and nothing of scipy.optimize."""
+FINITE_INPUT = {
+    "probabilities": [0.64, 0.16, 0.16, 0.04],
+    "positions": [[100, -50, 100, -50], [50, -25, 50, -25],
+                  [-25, 50, -25, 50], [50, 50, -25, -25]],
+    "alphas": [0.3, 0.3, 0.3, 0.3], "gamma": 50.0,
+    "partition": [[0, 2], [1], [3]],
+}
+
+
+def _fresh_cli_loads(argv: list[str], cwd: Path) -> list[str]:
+    """The LAZY submodules loaded by one sysrisk.cli.main(argv), run in cwd by a
+    fresh interpreter."""
     code = ("import sys, sysrisk.cli; "
-            f"assert sysrisk.cli.main(['--table', '1', '--out', {str(tmp_path / 't1.csv')!r}]) == 0; "
+            f"assert sysrisk.cli.main({argv!r}) == 0; "
             f"print([name for name in {LAZY!r} if name in sys.modules])")
     paths = [str(Path(sysrisk.__file__).parents[1])]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, cwd=cwd,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.replace("'", '"')) == ["scipy.special"]
+    return json.loads(proc.stdout.replace("'", '"'))
+
+
+def test_gaussian_cli_loads_no_scipy_optimize(tmp_path):
+    """The Gaussian solvers find their roots by Newton's method, so a fresh
+    ``sysrisk --table 1`` loads scipy.special and nothing of scipy.optimize."""
+    assert _fresh_cli_loads(["--table", "1", "--out", "t1.csv"], tmp_path) == ["scipy.special"]
+
+
+@pytest.mark.parametrize("args", [["--table", "4"], ["--solver", "finite", "--input", "finite.json"]])
+def test_finite_cli_loads_no_scipy_submodule(tmp_path, args):
+    """Grouped exponential constants take their log-sum-exp from numpy, so
+    ``--table 4`` and the README ``finite`` input load no scipy submodule."""
+    (tmp_path / "finite.json").write_text(json.dumps(FINITE_INPUT), encoding="utf-8")
+    assert _fresh_cli_loads(args + ["--out", "out.csv"], tmp_path) == []
+
+
+def test_finite_alloc_imports_nothing_from_scipy():
+    tree = ast.parse(Path(finite_alloc.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[0] == "scipy" for name in names), ast.dump(node)
 
 
 def test_import_loads_no_scipy_submodule_and_first_use_matches():
