@@ -59,8 +59,6 @@ from .oracle import (
     numeric_rho,
 )
 
-SOLVERS = ("gaussian-det", "gaussian-scen", "worst-case", "es", "finite", "ou", "oracle")
-
 
 class ConfigError(Exception):
     pass
@@ -548,11 +546,10 @@ def parse_sweep(spec: str) -> tuple[str, np.ndarray]:
     name, lo, hi, step = parts[0], *map(float, parts[1:])
     if step <= 0.0 or hi < lo:
         raise ConfigError("empty sweep range")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    values = lo + step * np.arange(count)
-    if values.size == 0:
-        raise ConfigError("empty sweep range")
-    return name, values
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ConfigError("sweep range has no finite number of steps")
+    return name, lo + step * np.arange(int(math.floor(span + 1e-9)) + 1)
 
 
 def apply_sweep_value(data: dict, name: str, value: float) -> dict:
@@ -597,7 +594,7 @@ def run_sweep(solver: str, data: dict, args) -> tuple[list[str], list[list]]:
 def build_parser() -> _Parser:
     parser = _Parser(prog="sysrisk", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--solver", choices=SOLVERS)
+    parser.add_argument("--solver", choices=list(RUNNERS))
     parser.add_argument("--table", type=int, choices=sorted(TABLES))
     parser.add_argument("--input", help="path to a JSON model description")
     parser.add_argument("--sweep", help="param:lo:hi:step")

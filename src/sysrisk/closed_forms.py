@@ -24,16 +24,9 @@ from .core import (
     RiskVector,
     ShortfallSum,
     WorstCase,
+    critical_levels,
     expected_shortfall,
 )
-
-def _critical_levels(x: RiskVector, d) -> np.ndarray:
-    if d is None:
-        return np.zeros(x.n)
-    d = np.asarray(d, dtype=float)
-    if d.shape != (x.n,):
-        raise ValueError("critical levels d must have one entry per institution")
-    return d
 
 
 def rho_ag(
@@ -47,7 +40,7 @@ def rho_ag(
     is the largest scenario shortfall; for ES acceptance it is the ES of the
     aggregated outcome.
     """
-    d = _critical_levels(x, d)
+    d = critical_levels(d, x.n)
     z = ShortfallSum(d).per_scenario(x.positions)
     if isinstance(criterion, WorstCase):
         return float(-z.min())
@@ -62,7 +55,7 @@ def rho_deterministic(x: RiskVector, d=None) -> tuple[float, np.ndarray]:
     m_hat_i = max_j (d_i - X_ij); returns (sum of m_hat, m_hat).  The value is
     the same under worst-case and under expected-shortfall acceptance.
     """
-    d = _critical_levels(x, d)
+    d = critical_levels(d, x.n)
     m_hat = (d[:, None] - x.positions).max(axis=1)
     return float(m_hat.sum()), m_hat
 
@@ -80,7 +73,7 @@ def rho_constrained(x: RiskVector, floors, d=None) -> tuple[float, np.ndarray]:
     An optimal allocation keeps every institution at its requirement and parks
     the slack (rho - column total) anywhere, e.g. with institution 0.
     """
-    d = _critical_levels(x, d)
+    d = critical_levels(d, x.n)
     g = np.asarray(floors, dtype=float)
     if g.shape != (x.n,):
         raise ValueError("floors must have one entry per institution")

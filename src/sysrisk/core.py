@@ -50,6 +50,18 @@ def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def critical_levels(d, n: int) -> np.ndarray:
+    """Critical levels d as floats: zeros when None, else one finite entry per institution."""
+    if d is None:
+        return np.zeros(n)
+    d = np.asarray(d, dtype=float)
+    if d.shape != (n,):
+        raise ValueError("critical levels d must have one entry per institution")
+    if not np.isfinite(d).all():
+        raise ValueError("critical levels d must be finite")
+    return d
+
+
 # ---------------------------------------------------------------------------
 # scenario space / positions
 # ---------------------------------------------------------------------------
@@ -346,6 +358,10 @@ class ExpectationFloor:
     """Accept when E[Z] >= b.  The budget parameter gamma > 0 maps to b = -gamma."""
 
     b: float
+
+    def __post_init__(self):
+        if not np.isfinite(self.b):
+            raise ValueError("floor b must be finite")
 
 
 @dataclass(frozen=True)

@@ -125,8 +125,8 @@ def _validated(x: RiskVector, alphas, gamma: float) -> tuple[np.ndarray, np.ndar
         raise ValueError("alphas must have one entry per institution")
     if np.any(alphas <= 0.0):
         raise ValueError("alphas must be strictly positive")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     return alphas, np.log(x.space.probabilities), float((1.0 / alphas).sum())
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .core import ConvergenceError, GaussianSystem
+from .core import ConvergenceError, GaussianSystem, critical_levels
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 RESIDUAL_TOL = 1e-9   # |sum_i psi_i(m_i) - gamma| / max(1, gamma) at the solution
@@ -113,9 +113,7 @@ def optimal_deterministic(
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     sigma = system.sigma
-    d = np.zeros(system.n) if d is None else np.asarray(d, dtype=float)
-    if d.shape != (system.n,):
-        raise ValueError("d must have one entry per institution")
+    d = critical_levels(d, system.n)
     r = solve_r(gamma / float(sigma.sum()))
     m = d - system.mu - sigma * r
     residual = abs(

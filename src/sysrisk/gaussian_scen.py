@@ -22,14 +22,15 @@ with F_i(x, y) = P(X_i <= x, S <= y) and G_i(x, y) = P(X_i <= x, S > y),
 bivariate normal probabilities.  Their sum, the probability of institution i
 being short, is then equal across institutions too.  The calm probabilities
 can be as small as 1e-14, so the solver states their equality as log ratios
-and evaluates G_i directly rather than as Phi - F_i.  It runs a damped Newton
-iteration on these 2N-2 equations plus the budget constraint.
+and evaluates G_i directly rather than as Phi - F_i.  It runs damped Newton
+on these 2N-2 equations plus the budget constraint, each step one 2x2 solve
+for the two levels (of log G_i, of F_i) that all institutions share.
 
 Everything else is closed form in these probabilities: each budget term is a
 truncated first moment of the bivariate normal (by parts, Rosenbaum 1961),
 and every derivative Newton needs is a univariate normal term of it.  So one
 evaluation, a single ``binorm_cdf`` call on 2N triples (each institution in
-both states), gives the residual, the Jacobian, the budget and the
+both states), gives the residual, the Newton step, the budget and the
 multiplier.  The bivariate CDF itself integrates the exact single-integral
 reduction with 32-point Gauss-Legendre panels up to 4 wide, narrower only
 where |r| > 0.6 makes the inner normal CDF's transition steeper than that;
@@ -38,22 +39,21 @@ stacked on one node grid.  No library routine offers the 1e-12 absolute
 accuracy wanted here.
 
 ``solve_two_state_batch`` solves many independent systems of the same N with
-one Newton loop: each round evaluates every system still iterating in one
-``binorm_cdf`` call and takes their steps in one stacked linear solve, while
-each system keeps its own line search and stop.  A kernel call costs mostly
-fixed dispatch, so a sweep of 37 points costs about as many calls as its
-longest single solve.  ``solve_two_state`` is the batch of one.
+one Newton loop: each round evaluates every system still iterating, steps
+included, in one ``binorm_cdf`` call, while each system keeps its own line
+search and stop.  A kernel call costs mostly fixed dispatch, so a sweep of
+37 points costs about as many calls as its longest single solve.
+``solve_two_state`` is the batch of one.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy
 
-from .core import ConvergenceError, GaussianSystem
+from .core import ConvergenceError, GaussianSystem, critical_levels
 from .gaussian_det import INV_SQRT_2PI, DeterministicSolution, norm_pdf, optimal_deterministic
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -183,6 +183,8 @@ class _JointGeometry:
     @classmethod
     def of(cls, system: GaussianSystem, trigger: float) -> "_JointGeometry":
         """The batch of one system."""
+        if math.isnan(trigger):
+            raise ValueError("trigger must not be NaN")
         var_s = float(system.cov.sum())
         if var_s <= 0.0:
             raise ValueError("aggregated position has zero variance")
@@ -269,9 +271,7 @@ def psi_two_state(
         raise ValueError("m and alpha must have one entry per institution")
     if abs(alpha.sum()) > 1e-10 * max(1.0, float(np.abs(alpha).max())):
         raise ValueError("alpha must sum to zero")
-    d = np.zeros(n) if d is None else np.asarray(d, dtype=float)
-    if d.shape != (n,):
-        raise ValueError("d must have one entry per institution")
+    d = critical_levels(d, n)
     return float(geo.state((d - m)[None], alpha[None])[2][0].sum())
 
 
@@ -339,13 +339,14 @@ def solve_two_state(
     S <= trigger), and the budget.  The calm probabilities can be as small as
     1e-14 at the optimum, so only their ratios carry the condition.  Each
     iterate is one exact evaluation, one ``binorm_cdf`` call on 2N triples,
-    that gives the residual and the analytic Jacobian together:
-    dPsi/dm_i = -(G_i + F_i), dPsi/dalpha_i = -F_i, and the probability rows
-    differentiate through the densities of ``_JointGeometry.state``.  Starts
-    from the deterministic optimum with a small alpha perturbation and halves
-    a step (at most 8 times) until the residual sup-norm falls.  Returns once
-    that is <= NEWTON_TOL = 1e-8; a stalled line search, a singular system or
-    NEWTON_MAX_ITER steps raise ``ConvergenceError``.
+    that gives the residual and the Newton step (``_evaluate``): the budget's
+    slope in a threshold is that state's probability, and the probability
+    rows differentiate through the densities of ``_JointGeometry.state``.
+    Starts from the deterministic optimum with a small alpha perturbation and
+    halves a step (at most 8 times) until the residual sup-norm falls.
+    Returns once that is <= NEWTON_TOL = 1e-8; a stalled line search, a
+    non-finite (singular) step or NEWTON_MAX_ITER steps raise
+    ``ConvergenceError``.
 
     If either state lies beyond the bivariate CDF's cutoff
     (|trigger - E[S]| >= 9 sd(S)), its probabilities are zero in floating
@@ -366,10 +367,10 @@ def solve_two_state_batch(problems) -> list:
     Returns one entry per problem, in order: its ``TwoStateSolution``, or the
     exception ``solve_two_state`` raises on it.  The problems that share N run
     one damped Newton loop in lockstep.  Each round makes one ``binorm_cdf``
-    call on the 2N triples of every system still iterating and one stacked
-    ``np.linalg.solve`` for the systems taking a step.  Every system keeps its
-    own line search, count and stop, so it follows the same iterates, to the
-    bit, as when solved alone; a system that fails leaves the others alone.
+    call on the 2N triples of every system still iterating, which gives
+    their residuals and steps.  Every system keeps its own line search, count
+    and stop, so it follows the same iterates, to the bit, as when solved
+    alone; a system that fails leaves the others alone.
     """
     outcomes: list = [None] * len(problems)
     groups: dict[int, list] = {}
@@ -378,70 +379,61 @@ def solve_two_state_batch(problems) -> list:
             n = system.n
             if n < 2:
                 raise ValueError("need at least two institutions to transfer capital")
-            d_arr = np.zeros(n) if d is None else np.asarray(d, dtype=float)
-            det = optimal_deterministic(system, gamma, d_arr)   # the start; exists for every gamma > 0
+            det = optimal_deterministic(system, gamma, d)   # the start; exists for every gamma > 0
             geo = _JointGeometry.of(system, trigger)
         except (ValueError, TypeError, ConvergenceError) as exc:
             outcomes[index] = exc
             continue
-        groups.setdefault(n, []).append((index, gamma, d_arr, trigger, det, geo))
+        groups.setdefault(n, []).append((index, gamma, det.d, trigger, det, geo))
     for group in groups.values():
         _newton(group, outcomes)
     return outcomes
 
 
-@functools.cache
-def _jacobian_index(n: int) -> np.ndarray:
-    """Where each Jacobian entry sits in ``_evaluate``'s value table.
-
-    Columns are m_0..m_{N-1}, then alpha_0..alpha_{N-2}; dc_i/dm_i = -1.  The
-    table holds, in this order: 0, -hazard, hazard, -F', F' (N each, F' the
-    distress densities), -F'_{N-1} - F'_i (N-1), -(G + F) (N) and
-    F_{N-1} - F_i (N-1).
-    """
-    neg_hazard, hazard, neg_dens, dens = 1, 1 + n, 1 + 2 * n, 1 + 3 * n
-    cross, neg_short, flow = 1 + 4 * n, 5 * n, 6 * n
-    head = np.arange(n - 1)
-    rows = n - 1 + head
-    index = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.intp)
-    index[head, head] = neg_hazard + head
-    index[head, n - 1] = hazard + n - 1
-    index[rows, head] = neg_dens + head
-    index[rows, n - 1] = dens + n - 1
-    index[rows, n:] = neg_dens + n - 1      # alpha_{N-1} = -sum of the head
-    index[rows, n + head] = cross + head
-    index[-1, :n] = neg_short + np.arange(n)
-    index[-1, n:] = flow + head
-    return index
-
-
 def _evaluate(geo: _JointGeometry, d: np.ndarray, gamma: np.ndarray, z: np.ndarray):
-    """Residuals, Jacobians and P(institution N short) at each row z = (m, alpha head)."""
+    """Residual sup-norm, Newton step and P(institution N short) of each row z = (m, alpha head).
+
+    The residual rows are log G_i - log G_N and F_i - F_N (i < N) and the
+    budget minus gamma.  Linearised in the thresholds c = d - m (calm) and
+    c - alpha (distress), each probability row says that one level l_s is
+    shared by all institutions: value_si + slope_si dx_si = l_s (value log G_i
+    and slope g_i / G_i calm, F_i and f_i distress).  So dx_si =
+    (l_s - value_si) reach_si, reach = 1 / slope, and the two levels solve a
+    2x2 system: sum dc = sum dt (alpha keeps summing to zero) and the
+    linearised budget sum_si P_si dx_si = gamma - budget.  Values and reaches
+    are measured from each state's flattest institution, so the level it pins
+    is a small number, not a difference of close ones, and a zero slope there
+    is the limit of an infinite reach.  Two zero slopes in a state, or an
+    overflow, make the step non-finite.
+    """
     n = d.shape[1]
     head = z[:, n:]
     alpha = np.concatenate([head, -head.sum(axis=1, keepdims=True)], axis=1)
     prob, dens, moment = geo.state(d - z[:, :n], alpha)
-    g_prob, f_prob, f_dens = prob[:, 0], prob[:, 1], dens[:, 1]
     budget = moment.sum(axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):   # G_i = 0 gives NaN rows
-        log_calm = np.log(g_prob)
-        hazard = dens[:, 0] / g_prob        # d log G_i / d c_i
-        res = np.concatenate([
-            log_calm[:, :-1] - log_calm[:, -1:],
-            f_prob[:, :-1] - f_prob[:, -1:],
-            (budget[:, 0] + budget[:, 1] - gamma)[:, None],
-        ], axis=1)
-    short = g_prob + f_prob
-    neg_dens = -f_dens
-    table = np.concatenate([
-        np.zeros((len(z), 1)), -hazard, hazard, neg_dens, f_dens,
-        neg_dens[:, -1:] - f_dens[:, :-1], -short, f_prob[:, -1:] - f_prob[:, :-1],
-    ], axis=1)
-    return res, table[:, _jacobian_index(n)], short[:, -1]
-
-
-def _newton_step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(jac, -res[..., None])[..., 0]
+    value = np.concatenate([np.log(prob[:, :1]), prob[:, 1:]], axis=1)   # G_i = 0 gives NaN
+    gap = value - value[:, :, -1:]
+    excess = budget[:, 0] + budget[:, 1] - gamma
+    norm = np.maximum(np.abs(gap).max(axis=(1, 2)), np.abs(excess)).tolist()
+    reach = 1.0 / dens              # dx_si per unit of level: 1 / slope_si
+    reach[:, 0] *= prob[:, 0]
+    flattest = reach.argmax(axis=2)     # as a flat index into the (B, 2, N) arrays
+    flattest += np.arange(0, flattest.size * n, n).reshape(flattest.shape)
+    value -= value.take(flattest)[:, :, None]
+    share = reach / reach.take(flattest)[:, :, None]
+    shifted = value * reach
+    # the flattest's own terms, also where its reach is infinite
+    share.put(flattest, 1.0)
+    shifted.put(flattest, 0.0)
+    # each sum runs over the institutions alone, so no bit depends on the batch
+    span, lift, weight, moved = np.array(
+        [share, shifted, prob * share, prob * shifted]).sum(axis=3)
+    # sum_i dx_si is one total for both states; the linearised budget fixes it
+    mean_prob = weight / span
+    total = ((moved - mean_prob * lift).sum(axis=1) - excess) / mean_prob.sum(axis=1)
+    dx = share * ((total[:, None] + lift) / span)[:, :, None] - shifted
+    step = np.concatenate([-dx[:, 0], (dx[:, 0] - dx[:, 1])[:, :-1]], axis=1)
+    return norm, step, prob[:, 0, -1] + prob[:, 1, -1]
 
 
 _SHORTEST_STEP = 0.5 ** 8     # a step is halved at most 8 times
@@ -466,88 +458,79 @@ def _newton(group, outcomes: list) -> None:
     for row, beyond in enumerate(cutoff):
         if not beyond:
             z[row, n] = 1e-3
-    res, jac, short = _evaluate(geo, d, gamma, z)
-    best = np.abs(res).max(axis=1).tolist()
-    iterations = [0] * len(group)
-    fraction = np.ones((len(group), 1))       # of each row's current step
-    step = np.zeros_like(z)
-    gone = [False] * len(group)
+    # non-finite values are handled where they arise: a non-finite step fails
+    # its row as singular, and a non-finite candidate is rejected
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        best, step, short = _evaluate(geo, d, gamma, z)
+        iterations = [0] * len(group)
+        fraction = np.ones((len(group), 1))       # of each row's current step
+        gone = [False] * len(group)
 
-    def finish(row, residual):
-        gone[row] = True
-        g = ids[row]
-        head = z[row, n:]
-        outcomes[index[g]] = TwoStateSolution(
-            m=z[row, :n].copy(),
-            alpha=np.append(head, -head.sum()),
-            rho=float(z[row, :n].sum()),
-            lam=-1.0 / short[row] if short[row] > 1e-14 else math.nan,
-            trigger=triggers[g],
-            gamma=gammas[g],
-            d=ds[g],
-            residual=residual,
-            iterations=iterations[row],
-            converged=True,
-            deterministic=dets[g],
-        )
-
-    def fail(row, message):
-        gone[row] = True
-        outcomes[index[ids[row]]] = ConvergenceError(message)
-
-    for row, beyond in enumerate(cutoff):
-        if beyond:
-            finish(row, dets[row].residual)
-    moved = [not beyond for beyond in cutoff]
-    while True:
-        # a row whose point just moved stops if it has converged, else steps
-        stepping = []
-        for row, moved_row in enumerate(moved):
-            if not moved_row:
-                continue
-            if best[row] <= NEWTON_TOL:
-                finish(row, best[row])
-            elif iterations[row] == NEWTON_MAX_ITER:
-                fail(row, f"two-state Newton reached {NEWTON_MAX_ITER} steps "
-                          f"at residual {best[row]:.3g}")
-            else:
-                iterations[row] += 1
-                fraction[row] = 1.0
-                stepping.append(row)
-        try:
-            if len(stepping) == len(ids):
-                step = _newton_step(jac, res)
-            elif stepping:
-                step[stepping] = _newton_step(jac[stepping], res[stepping])
-        except np.linalg.LinAlgError:   # find the singular rows; the others step
-            for row in stepping:
-                try:
-                    step[row] = _newton_step(jac[row], res[row])
-                except np.linalg.LinAlgError:
-                    fail(row, "two-state first-order system is singular")
-        if any(gone):
-            keep = [row for row, g in enumerate(gone) if not g]
-            if not keep:
-                return
-            z, res, jac, short, step, fraction, d, gamma = (
-                a[keep] for a in (z, res, jac, short, step, fraction, d, gamma)
+        def finish(row, residual):
+            gone[row] = True
+            g = ids[row]
+            head = z[row, n:]
+            outcomes[index[g]] = TwoStateSolution(
+                m=z[row, :n].copy(),
+                alpha=np.append(head, -head.sum()),
+                rho=float(z[row, :n].sum()),
+                lam=-1.0 / short[row] if short[row] > 1e-14 else math.nan,
+                trigger=triggers[g],
+                gamma=gammas[g],
+                d=ds[g],
+                residual=residual,
+                iterations=iterations[row],
+                converged=True,
+                deterministic=dets[g],
             )
-            geo = geo.take(keep)
-            ids, best, iterations = ([v[row] for row in keep] for v in (ids, best, iterations))
-            gone = [False] * len(ids)
-        cand = z + fraction * step
-        cres, cjac, cshort = _evaluate(geo, d, gamma, cand)
-        cbest = np.abs(cres).max(axis=1).tolist()
-        moved = [c < b for c, b in zip(cbest, best)]
-        if all(moved):
-            z, res, jac, short, best = cand, cres, cjac, cshort, cbest
-            continue
-        took = np.array(moved)
-        z[took], res[took], jac[took], short[took] = cand[took], cres[took], cjac[took], cshort[took]
-        for row, took_row in enumerate(moved):
-            if took_row:
-                best[row] = cbest[row]
+
+        def fail(row, message):
+            gone[row] = True
+            outcomes[index[ids[row]]] = ConvergenceError(message)
+
+        for row, beyond in enumerate(cutoff):
+            if beyond:
+                finish(row, dets[row].residual)
+        moved = [not beyond for beyond in cutoff]
+        while True:
+            # a row whose point just moved stops if it has converged, else steps
+            finite = np.isfinite(step).all(axis=1).tolist()
+            for row, moved_row in enumerate(moved):
+                if not moved_row:
+                    continue
+                if best[row] <= NEWTON_TOL:
+                    finish(row, best[row])
+                elif iterations[row] == NEWTON_MAX_ITER:
+                    fail(row, f"two-state Newton reached {NEWTON_MAX_ITER} steps "
+                              f"at residual {best[row]:.3g}")
+                elif not finite[row]:
+                    fail(row, "two-state first-order system is singular "
+                              f"at residual {best[row]:.3g}")
+                else:
+                    iterations[row] += 1
+                    fraction[row] = 1.0
+            if any(gone):
+                keep = [row for row, g in enumerate(gone) if not g]
+                if not keep:
+                    return
+                z, step, short, fraction, d, gamma = (
+                    a[keep] for a in (z, step, short, fraction, d, gamma)
+                )
+                geo = geo.take(keep)
+                ids, best, iterations = ([v[row] for row in keep] for v in (ids, best, iterations))
+                gone = [False] * len(ids)
+            cand = z + fraction * step
+            cbest, cstep, cshort = _evaluate(geo, d, gamma, cand)
+            moved = [c < b for c, b in zip(cbest, best)]
+            if all(moved):
+                z, step, short, best = cand, cstep, cshort, cbest
                 continue
-            if fraction[row, 0] == _SHORTEST_STEP:
-                fail(row, f"two-state Newton stalled at residual {best[row]:.3g}")
-            fraction[row] *= 0.5
+            took = np.array(moved)
+            z[took], step[took], short[took] = cand[took], cstep[took], cshort[took]
+            for row, took_row in enumerate(moved):
+                if took_row:
+                    best[row] = cbest[row]
+                    continue
+                if fraction[row, 0] == _SHORTEST_STEP:
+                    fail(row, f"two-state Newton stalled at residual {best[row]:.3g}")
+                fraction[row] *= 0.5

@@ -556,6 +556,8 @@ class ThetaMap:
         ys = np.asarray(self.budgets, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 1:
             raise ValueError("levels and budgets must be equal-length vectors")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("levels and budgets must be finite")
         if np.any(np.diff(xs) <= 0.0):
             raise ValueError("levels must be strictly increasing")
         if np.any(np.diff(ys) < 0.0):

@@ -3,6 +3,7 @@ exit codes, and byte-level reproducibility."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import sysrisk
 from sysrisk import gaussian_scen
-from sysrisk.cli import TABLES, apply_sweep_value, fmt, main, parse_sweep
+from sysrisk.cli import RUNNERS, TABLES, apply_sweep_value, build_parser, fmt, main, parse_sweep
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -471,6 +472,50 @@ def test_malformed_input_is_a_configuration_error(tmp_path, capsys, solver, payl
     src = write_json(tmp_path, "model.json", payload)
     assert main(["--solver", solver, "--input", src, *extra]) == 1
     assert capsys.readouterr().err.startswith("sysrisk: configuration error:")
+
+
+EXPONENTIAL = {"type": "exponential", "alpha": [0.5, 0.5]}
+WORST_CASE_INPUT = {"probabilities": [0.5, 0.3, 0.2], "positions": [[4, -2, 1], [-1, 3, -0.5]]}
+
+
+def _floor(b):
+    return {"type": "expectation-floor", "b": b}
+
+
+NON_FINITE_INPUTS = {
+    "nan-floor-exponential": ("oracle", dict(ORACLE_INPUT, aggregation=EXPONENTIAL,
+                                             acceptance=_floor(math.nan)), []),
+    "nan-floor-sum": ("oracle", dict(ORACLE_INPUT, acceptance=_floor(math.nan)), []),
+    "minus-inf-floor-exponential": ("oracle", dict(ORACLE_INPUT, aggregation=EXPONENTIAL,
+                                                   acceptance=_floor(-math.inf)), []),
+    "nan-d-gaussian-det": ("gaussian-det", dict(TWO_BANK, d=[math.nan, 0.0]), []),
+    "nan-d-gaussian-scen": ("gaussian-scen", dict(TWO_BANK, d=[math.nan, 0.0]), []),
+    "nan-d-worst-case": ("worst-case", dict(WORST_CASE_INPUT, d=[math.nan, 0.0]), []),
+    "nan-trigger": ("gaussian-scen", dict(TWO_BANK, trigger=math.nan), []),
+    "nan-gamma-finite": ("finite", dict(FINITE_INPUT, partition=[[0, 1]]), ["--gamma", "nan"]),
+    "inf-gamma-finite": ("finite", dict(FINITE_INPUT, partition=[[0, 1]]), ["--gamma", "inf"]),
+    "sweep-to-inf": ("gaussian-scen", TWO_BANK, ["--sweep", "gamma:0.1:inf:1"]),
+    "sweep-overflowing-count": ("gaussian-scen", TWO_BANK, ["--sweep", "gamma:0.1:1e300:1e-300"]),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_INPUTS)
+def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, case):
+    """Each of these once printed nan or -inf cells, stalled (exit 3) or
+    ended in an OverflowError traceback."""
+    solver, payload, extra = NON_FINITE_INPUTS[case]
+    src = write_json(tmp_path, "model.json", payload)
+    code, rows = run_cli(tmp_path, "--solver", solver, "--input", src, *extra)
+    err = capsys.readouterr().err
+    assert code == 1 and rows == []
+    assert len(err.splitlines()) == 1
+    assert err.startswith("sysrisk: configuration error:")
+    assert "Traceback" not in err
+
+
+def test_solver_choices_are_the_runners():
+    solver = next(a for a in build_parser()._actions if a.dest == "solver")
+    assert solver.choices == list(RUNNERS)
 
 
 ORACLE_MISFITS = {     # the README oracle positions: N = 2, M = 2

@@ -26,6 +26,7 @@ from sysrisk.core import (
     aggregate_scenarios,
     allocation_price,
     clearing_vector,
+    critical_levels,
     dominates,
     is_acceptable,
     rank_by_expected_allocation,
@@ -363,6 +364,11 @@ class TestAcceptance:
         assert is_acceptable(ExpectationFloor(0.0), self.space, z)
         assert not is_acceptable(ExpectationFloor(0.5), self.space, z)
 
+    @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
+    def test_expectation_floor_rejects_a_non_finite_b(self, b):
+        with pytest.raises(ValueError, match="finite"):
+            ExpectationFloor(b)
+
     def test_worst_case(self):
         assert is_acceptable(WorstCase(), self.space, np.array([0.0, 0.0]))
         assert not is_acceptable(WorstCase(), self.space, np.array([1.0, -1e-6]))
@@ -381,6 +387,44 @@ class TestAcceptance:
         assert not is_acceptable(
             ExpectedShortfall(0.05), self.space, np.array([-1.0, 100.0])
         )
+
+
+def test_critical_levels_default_to_zero_and_must_be_finite():
+    np.testing.assert_array_equal(critical_levels(None, 3), np.zeros(3))
+    np.testing.assert_array_equal(critical_levels([1, -2], 2), [1.0, -2.0])
+    for d in ([0.0], 0.5, [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="one entry per institution"):
+            critical_levels(d, 2)
+    for d in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            critical_levels(d, 2)
+
+
+def _critical_level_callers():
+    from sysrisk.closed_forms import rho_ag, rho_constrained, rho_deterministic
+    from sysrisk.gaussian_det import optimal_deterministic
+    from sysrisk.gaussian_scen import psi_two_state, solve_two_state
+
+    x = RiskVector(ScenarioSpace(np.array([0.5, 0.5])), np.array([[1.0, -1.0], [2.0, 0.5]]))
+    system = GaussianSystem(np.zeros(2), np.array([[1.0, -1.5], [-1.5, 9.0]]))
+    return {
+        "rho_ag": lambda d: rho_ag(x, d=d),
+        "rho_deterministic": lambda d: rho_deterministic(x, d),
+        "rho_constrained": lambda d: rho_constrained(x, np.zeros(2), d),
+        "optimal_deterministic": lambda d: optimal_deterministic(system, 0.7, d),
+        "psi_two_state": lambda d: psi_two_state(system, np.ones(2), np.zeros(2), d, 2.0),
+        "solve_two_state": lambda d: solve_two_state(system, 0.7, d, 2.0),
+    }
+
+
+@pytest.mark.parametrize("caller", sorted(_critical_level_callers()))
+def test_every_solver_rejects_non_finite_critical_levels(caller):
+    """One check in core: a NaN level used to print nan (gaussian-det) or
+    stall (gaussian-scen)."""
+    run = _critical_level_callers()[caller]
+    run(None)
+    with pytest.raises(ValueError, match="critical levels d must be finite"):
+        run([np.nan, 0.0])
 
 
 def test_allocation_price_requires_constant_totals():

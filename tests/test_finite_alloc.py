@@ -385,12 +385,16 @@ def test_logsumexp_matches_50_digit_reference():
         (np.array([0.3, -0.1, 0.3, 0.3]), 50.0, "strictly positive"),
         (np.full(4, 0.3), 0.0, "gamma"),
         (np.full(4, 0.3), -1.0, "gamma"),
+        (np.full(4, 0.3), math.nan, "gamma"),
+        (np.full(4, 0.3), math.inf, "gamma"),
     ],
 )
 def test_group_sweep_validates_inputs(example, alphas, gamma, msg):
     x, _, _ = example
     with pytest.raises(ValueError, match=msg):
         group_sweep(x, alphas, gamma)
+    with pytest.raises(ValueError, match=msg):
+        solve_grouped(x, alphas, gamma, [[0, 1, 2, 3]])
 
 
 def test_group_sweep_nine_institutions():

@@ -737,34 +737,101 @@ def test_batched_random_systems_are_each_alone(n):
         assert len({o.iterations for o in outcomes if not isinstance(o, Exception)}) > 1
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 9])
-def test_batched_evaluation_and_step_match_each_row(n):
-    """The batch axis moves no bit of an evaluation or a Newton step: the row
-    sums (the budget and the last transfer) and the stacked linear solve give
-    each system what it gets alone.  N = 9 puts both sums past numpy's
-    eight-wide pairwise summation blocks."""
-    rng = np.random.default_rng([99, n])
+def _random_points(n, count, seed):
+    """``count`` seeded random (geometry, d, gamma, z) points of N = n systems."""
+    rng = np.random.default_rng([99, seed, n])
     geos, zs = [], []
-    for _ in range(6):
+    for _ in range(count):
         a = rng.normal(size=(n, n))
         system = GaussianSystem(rng.normal(0.0, 0.5, n), a @ a.T / n + 0.3 * np.eye(n))
         geos.append(gaussian_scen._JointGeometry.of(system, float(rng.uniform(-1.0, 1.0))))
         zs.append(np.concatenate([rng.uniform(0.0, 2.0, n), rng.normal(0.0, 0.3, n - 1)]))
-    d, gamma, z = rng.uniform(-0.5, 0.5, (6, n)), rng.uniform(0.2, 1.0, 6), np.array(zs)
-    res, jac, short = gaussian_scen._evaluate(
+    return geos, rng.uniform(-0.5, 0.5, (count, n)), rng.uniform(0.2, 1.0, count), np.array(zs)
+
+
+def _dense_newton_step(geo, d, gamma, z):
+    """One system's Newton step through its dense (2N-1)-square Jacobian.
+
+    Columns are m, then the first N-1 transfers (alpha_N is minus their sum).
+    Rows are the N-1 calm log ratios log G_i - log G_N, the N-1 distress
+    differences F_i - F_N and the budget.  They differentiate through the
+    densities of ``_JointGeometry.state`` at the thresholds c = d - m and
+    c - alpha, and the budget's slope in a threshold is its probability.
+    """
+    n = d.size
+    alpha = np.append(z[n:], -z[n:].sum())
+    prob, dens, moment = geo.state((d - z[:n])[None], alpha[None])
+    (g_prob, f_prob), (g_dens, f_dens) = prob[0], dens[0]
+    log_g = np.log(g_prob)
+    res = np.concatenate([log_g[:-1] - log_g[-1], f_prob[:-1] - f_prob[-1],
+                          [moment.sum() - gamma]])
+    hazard = g_dens / g_prob
+    head = np.arange(n - 1)
+    rows = n - 1 + head
+    jac = np.zeros((2 * n - 1, 2 * n - 1))
+    jac[head, head] = -hazard[:-1]
+    jac[head, n - 1] = hazard[-1]
+    jac[rows, head] = -f_dens[:-1]
+    jac[rows, n - 1] = f_dens[-1]
+    jac[rows, n:] = -f_dens[-1]
+    jac[rows, n + head] -= f_dens[:-1]
+    jac[-1, :n] = -(g_prob + f_prob)
+    jac[-1, n:] = f_prob[-1] - f_prob[:-1]
+    return np.linalg.solve(jac, -res)
+
+
+def _assert_step_is_dense_step(geo, d, gamma, z):
+    step = gaussian_scen._evaluate(geo, d[None], np.array([gamma]), z[None])[1][0]
+    dense = _dense_newton_step(geo, d, gamma, z)
+    assert np.abs(step - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_structured_step_is_the_dense_newton_step(n):
+    """The 2x2 level solve and one division per institution and state give
+    the step the dense Jacobian gives, on 20 seeded random points per N."""
+    geos, d, gamma, z = _random_points(n, 20, seed=1)
+    for i, geo in enumerate(geos):
+        _assert_step_is_dense_step(geo, d[i], gamma[i], z[i])
+
+
+# a 2-bank system whose Newton start has a distress density of about 4e-26:
+# measured from institution N, the level such a flat institution pins is lost
+# to roundoff, and the solve stalls at residual 0.0104
+FLAT = (GaussianSystem(np.array([-0.583, -0.366]), np.array([[3.057, 0.271], [0.271, 0.098]])),
+        0.2923, None, -5.1)
+
+
+def test_structured_step_at_a_vanishing_density():
+    system, gamma, _, trigger = FLAT
+    geo = gaussian_scen._JointGeometry.of(system, trigger)
+    z = np.append(optimal_deterministic(system, gamma).m, 1e-3)
+    prob, dens, _ = geo.state(-z[None, :2], np.array([[1e-3, -1e-3]]))
+    assert dens[0, 1].min() < 1e-25
+    _assert_step_is_dense_step(geo, np.zeros(2), gamma, z)
+    assert solve_two_state(*FLAT).iterations == 12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+def test_batched_evaluation_and_step_match_each_row(n):
+    """The batch axis moves no bit of a residual norm or a Newton step: every
+    sum runs over one axis, the institutions, so each system gets what it gets
+    alone.  N = 9 puts the sums past numpy's eight-wide pairwise summation
+    blocks."""
+    geos, d, gamma, z = _random_points(n, 6, seed=0)
+    norm, step, short = gaussian_scen._evaluate(
         gaussian_scen._JointGeometry.stack(geos), d, gamma, z
     )
-    step = gaussian_scen._newton_step(jac, res)
     for i, geo in enumerate(geos):
         one = gaussian_scen._evaluate(geo, d[i:i + 1], gamma[i:i + 1], z[i:i + 1])
-        assert np.array_equal(res[i], one[0][0])
-        assert np.array_equal(jac[i], one[1][0])
+        assert norm[i] == one[0][0]
+        assert np.array_equal(step[i], one[1][0])
         assert short[i] == one[2][0]
-        assert np.array_equal(step[i], np.linalg.solve(jac[i], -res[i]))
 
 
 # the 3-bank system on which Newton stalls (CHANGES.md FOUND): the second step
-# lowers the log rows but sends the budget residual to 14.7
+# lowers the log rows but sends the budget residual to 14.7, where one
+# distress density is about 1e-245 and the next step (about 1e20) stalls
 STALLING = (
     GaussianSystem(
         np.array([0.381, 0.431, 0.37]),
@@ -772,29 +839,48 @@ STALLING = (
     ),
     0.3913, None, 2.131,
 )
-# a rank-one 2-bank system whose first Jacobian is exactly singular
+# the README gaussian-scen input at trigger 14 (5.3 sd(S)), where every step stalls
+FAR_TRIGGER = (_system(-1.5, 3.0), GAMMA, np.zeros(2), 14.0)
+# a rank-one 2-bank system whose first Newton step is not finite
 SINGULAR = (GaussianSystem(np.zeros(2), np.outer([1.0, -2.0], [1.0, -2.0])), 0.6, None, -0.5)
 
 
 def test_a_failing_system_leaves_the_others_alone():
-    """A stall, a singular Jacobian in the stacked solve and a rejected input
-    each fail only their own system, with the error they raise alone; the
-    healthy systems beside them give their single-solve answers."""
+    """Two stalls, a singular system and a rejected input each fail only
+    their own system, with the error they raise alone; the healthy systems
+    beside them give their single-solve answers."""
     with pytest.raises(ConvergenceError, match="stalled at residual 14.7") as stalled:
         solve_two_state(*STALLING)
-    with pytest.raises(ConvergenceError, match="singular") as singular:
+    with pytest.raises(ConvergenceError, match="stalled at residual 4.7$") as far:
+        solve_two_state(*FAR_TRIGGER)
+    with pytest.raises(ConvergenceError, match="singular at residual") as singular:
         solve_two_state(*SINGULAR)
     healthy3 = [p for p in RANDOM_PROBLEMS if p[0].n == 3][:4]
     healthy2 = [p for p in RANDOM_PROBLEMS if p[0].n == 2][:4]
     bad_gamma = (healthy2[0][0], -0.5, None, 1.0)
     problems = healthy3[:2] + [STALLING] + healthy3[2:] + healthy2[:2] + [SINGULAR, bad_gamma]
-    problems += healthy2[2:]
+    problems += healthy2[2:] + [FAR_TRIGGER]
     outcomes = _assert_batch_is_each_alone(problems)
     assert str(outcomes[2]) == str(stalled.value)
     assert str(outcomes[7]) == str(singular.value)
+    assert str(outcomes[11]) == str(far.value)
     assert isinstance(outcomes[8], ValueError)
     assert all(isinstance(outcomes[i], gaussian_scen.TwoStateSolution)
                for i in (0, 1, 3, 4, 5, 6, 9, 10))
+
+
+def test_trigger_must_not_be_nan_and_infinite_ones_need_no_transfer():
+    system = _system(-1.5, 3.0)
+    with pytest.raises(ValueError, match="trigger"):
+        solve_two_state(system, GAMMA, None, math.nan)
+    with pytest.raises(ValueError, match="trigger"):
+        psi_two_state(system, np.ones(2), np.zeros(2), None, math.nan)
+    det = optimal_deterministic(system, GAMMA)
+    for trigger in (-math.inf, math.inf):
+        sol = solve_two_state(system, GAMMA, None, trigger)
+        assert sol.iterations == 0
+        np.testing.assert_array_equal(sol.alpha, 0.0)
+        np.testing.assert_array_equal(sol.m, det.m)
 
 
 def test_batched_step_cap_is_each_system_alone(monkeypatch):

@@ -744,6 +744,9 @@ def test_grouped_family_normalises_its_partition_once(monkeypatch, seed):
         ([0.0, 1.0], [2.0, 1.0], "nondecreasing"),
         ([0.0, 1.0], [0.0, 1.0], "positive"),
         ([0.0], [1.0, 2.0], "equal-length"),
+        ([0.0, 1.0], [1.0, np.nan], "finite"),
+        ([0.0, 1.0], [1.0, np.inf], "finite"),
+        ([np.nan, 1.0], [1.0, 2.0], "finite"),
     ],
 )
 def test_theta_map_validation(levels, budgets, msg):
