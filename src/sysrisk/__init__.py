@@ -34,7 +34,6 @@ from .core import (
     aggregate_scenarios,
     allocation_price,
     clearing_vector,
-    dominates,
     is_acceptable,
     rank_by_expected_allocation,
     spectral_radius,
@@ -43,14 +42,11 @@ from .finite_alloc import (
     GroupedSolution,
     enumerate_partitions,
     group_sweep,
-    pair_partitions,
-    rank_institutions,
     solve_grouped,
 )
 from .gaussian_det import (
     DeterministicSolution,
     optimal_deterministic,
-    sensitivities,
     solve_r,
 )
 from .gaussian_scen import (
@@ -75,7 +71,6 @@ from .oracle import (
     Grouped,
     ThetaMap,
     TwoStateParametric,
-    check_cash_invariance,
     check_structural_properties,
     check_sum_reduction,
     numeric_rho,
@@ -115,11 +110,9 @@ __all__ = [
     "allocation_price",
     "binorm_cdf",
     "central_clearing_moments",
-    "check_cash_invariance",
     "check_structural_properties",
     "check_sum_reduction",
     "clearing_vector",
-    "dominates",
     "enumerate_partitions",
     "expected_shortfall",
     "group_sweep",
@@ -129,15 +122,12 @@ __all__ = [
     "numeric_rho",
     "numeric_rho_family",
     "optimal_deterministic",
-    "pair_partitions",
     "psi_two_state",
     "rank_by_expected_allocation",
-    "rank_institutions",
     "rho_ag",
     "rho_constrained",
     "rho_deterministic",
     "sample_instance",
-    "sensitivities",
     "simulate_paths",
     "solve_grouped",
     "solve_r",

@@ -82,11 +82,3 @@ def rho_constrained(x: RiskVector, floors, d=None) -> tuple[float, np.ndarray]:
     requirement = np.maximum(d[:, None] - x.positions, g[:, None])
     rho = float(requirement.sum(axis=0).max())
     return rho, requirement
-
-
-def constrained_allocation(x: RiskVector, floors, d=None) -> np.ndarray:
-    """An optimal allocation for rho_constrained (slack parked with institution 0)."""
-    rho, req = rho_constrained(x, floors, d)
-    y = req.copy()
-    y[0] += rho - req.sum(axis=0)
-    return y

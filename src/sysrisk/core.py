@@ -21,7 +21,6 @@ Numerical tolerances are centralized here so every module agrees on what
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -446,13 +445,6 @@ def allocation_price(y: np.ndarray, tol: float = CONSTANT_SUM_TOL) -> float:
     return float(totals.mean())
 
 
-def dominates(y1, y2, tol: float = 1e-12) -> bool:
-    """Componentwise y1 >= y2 (used to compare allocations/outcomes)."""
-    a = np.asarray(y1, dtype=float)
-    b = np.asarray(y2, dtype=float)
-    return bool(np.all(a >= b - tol))
-
-
 @dataclass(eq=False)
 class RiskResult:
     """Outcome of a risk-measure computation.
@@ -471,10 +463,6 @@ class RiskResult:
 
 def rank_by_expected_allocation(space: ScenarioSpace, y: np.ndarray) -> tuple[int, ...]:
     """Institution indices by decreasing E[Y_i]; ties broken by lower index."""
-    return rank_by_expectation(np.asarray(y, dtype=float) @ space.probabilities)
-
-
-def rank_by_expectation(ey: np.ndarray) -> tuple[int, ...]:
-    """Indices of an expectation vector by decreasing value; ties to the lower index."""
+    ey = np.asarray(y, dtype=float) @ space.probabilities
     order = np.lexsort((np.arange(ey.size), -ey))
     return tuple(int(i) for i in order)

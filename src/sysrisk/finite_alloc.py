@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import RiskVector, rank_by_expectation
+from .core import RiskVector
 
 # Enumeration is refused beyond this.  A sweep keeps all Bell(n) entries: on a
 # 2-vCPU Xeon, n = 9 gives 21,147 entries in about 0.13 s (9 MiB tracemalloc
@@ -158,11 +157,6 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(np.log1p(terms.sum() / count) + np.log(count) + a_max)
 
 
-def rank_institutions(solution: GroupedSolution) -> tuple[int, ...]:
-    """Institutions by decreasing expected allocation; ties to the lower index."""
-    return rank_by_expectation(solution.expected_allocation)
-
-
 @dataclass(eq=False)
 class SweepEntry:
     partition: Partition
@@ -193,12 +187,3 @@ def group_sweep(x: RiskVector, alphas, gamma: float) -> list[SweepEntry]:
         entries.append(SweepEntry(p, float(consts.sum()), consts))
     entries.sort(key=lambda e: (e.rho, e.partition))
     return entries
-
-
-def pair_partitions(n: int) -> list[Partition]:
-    """Partitions consisting of one pair plus singletons (ring-fence all but two)."""
-    out = []
-    for i, j in combinations(range(n), 2):
-        blocks = [(i, j)] + [(k,) for k in range(n) if k not in (i, j)]
-        out.append(normalize_partition(blocks, n))
-    return out

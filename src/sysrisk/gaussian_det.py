@@ -128,37 +128,3 @@ def optimal_deterministic(
     return DeterministicSolution(
         m=m, rho=float(m.sum()), r_star=r, gamma=gamma, d=d, residual=residual
     )
-
-
-@dataclass(eq=False)
-class DeterministicSensitivities:
-    dm_dmu: np.ndarray       # diagonal: dm_i / dmu_i (cross terms are 0)
-    dm_dsigma: np.ndarray    # full matrix: dm_i / dsigma_k
-    dr_dsigma: np.ndarray
-
-
-def sensitivities(system: GaussianSystem, gamma: float, d=None) -> DeterministicSensitivities:
-    """Exact first-order response of the deterministic optimum.
-
-    dm_i/dmu_i = -1 (means shift capital one for one, R does not move).
-    dR/dsigma_k = -h / S with S = sum sigma and h = R + phi(R)/Phi(R), and hence
-
-        dm_i/dsigma_k = (sigma_i/S) h - delta_ik R.
-
-    h = f(R)/Phi(R), f = ``mills_sum``, is read from ``_log_mills_sum``, which
-    stays finite where Phi(R) underflows (R below about -37.5).  While R < 0
-    the diagonal dm_i/dsigma_i is strictly positive: more volatile
-    institutions require more capital.
-    """
-    sol = optimal_deterministic(system, gamma, d)
-    sigma = system.sigma
-    s = float(sigma.sum())
-    r = sol.r_star
-    hazard = 1.0 / _log_mills_sum(r)[1]
-    dr_dsigma = np.full(system.n, -hazard / s)
-    dm_dsigma = np.outer(sigma / s, np.full(system.n, hazard)) - r * np.eye(system.n)
-    return DeterministicSensitivities(
-        dm_dmu=-np.ones(system.n),
-        dm_dsigma=dm_dsigma,
-        dr_dsigma=dr_dsigma,
-    )

@@ -318,8 +318,11 @@ class TwoStateSolution:
 
         The gap between the calm and the distress allocation.  It is only
         as accurate as the calm split, which the solver fixes by equalising
-        the calm probabilities in log terms; with two institutions it
-        matches an independent quadrature derivation to 1e-6.
+        the calm probabilities in log terms.  With two institutions and the
+        trigger at or above E[S] it matches an independent quadrature
+        derivation to 1e-6.  Below E[S] the distress state is rare, the
+        stopping rule leaves alpha loose along a ridge, and the transfer
+        can be wrong in the first digit.
         """
         return float(np.abs(self.alpha).max())
 

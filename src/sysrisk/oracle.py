@@ -139,11 +139,15 @@ AllocationClass = Deterministic | FullyFlexible | FloorConstrained | Grouped | T
 
 
 def _fitted_class(cls: AllocationClass, n: int, m: int) -> AllocationClass:
-    """``cls`` checked against an N x M instance (see module docstring), partition normalised."""
+    """``cls`` checked against an N x M instance (see module docstring): a partition
+    comes back normalised, a constant two-state indicator (no transfer) as Deterministic."""
     if not isinstance(cls, AllocationClass):
         raise TypeError(f"unknown allocation class {cls!r}")
-    if isinstance(cls, TwoStateParametric) and cls.indicator.shape != (m,):
-        raise ValueError("indicator must have one entry per scenario")
+    if isinstance(cls, TwoStateParametric):
+        if cls.indicator.shape != (m,):
+            raise ValueError("indicator must have one entry per scenario")
+        if np.ptp(cls.indicator) == 0.0:
+            return Deterministic()
     if isinstance(cls, FloorConstrained) and cls.floors.shape != (n,):
         raise ValueError("floors must have one entry per institution")
     if isinstance(cls, Grouped):
@@ -214,8 +218,6 @@ def _worst_case_exact(x: RiskVector, cls: AllocationClass, lam: Sum | ShortfallS
                               "exact-worst-case")
     n, m = x.n, x.m
     need = lam.d[:, None] - x.positions        # N x M; a length-1 d broadcasts
-    if isinstance(cls, TwoStateParametric) and np.ptp(cls.indicator) == 0.0:
-        cls = Deterministic()                  # a constant indicator moves no cash
     if isinstance(cls, Deterministic):
         mh = need.max(axis=1)
         y = np.repeat(mh[:, None], m, axis=1)
@@ -721,10 +723,3 @@ def check_sum_reduction(
         devs.append(abs(rho_fn(RiskVector(x.space, x.positions + t)) - base))
     worst = max(devs)
     return SumReductionReport(worst, devs, worst <= AUDIT_TOL)
-
-
-def check_cash_invariance(rho_fn: Callable[[RiskVector], float], x: RiskVector, v) -> float:
-    """|rho(X + v) - (rho(X) - sum v)| for a deterministic per-institution v."""
-    v = np.asarray(v, dtype=float)
-    shifted = RiskVector(x.space, x.positions + v[:, None])
-    return abs(rho_fn(shifted) - (rho_fn(x) - float(v.sum())))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sysrisk.closed_forms import (
-    constrained_allocation,
     expected_shortfall,
     rho_ag,
     rho_constrained,
@@ -93,19 +92,6 @@ class TestRhoConstrained:
         mid, _ = rho_constrained(small_risk_vector, np.full(2, -1.0))
         tight, _ = rho_constrained(small_risk_vector, np.zeros(2))
         assert loose <= mid <= tight
-
-
-def test_constrained_allocation_is_feasible_and_prices_at_rho(small_risk_vector):
-    floors = np.array([-1.0, -0.5])
-    rho, req = rho_constrained(small_risk_vector, floors)
-    y = constrained_allocation(small_risk_vector, floors)
-    # scenario totals are constant and equal to rho
-    assert np.allclose(y.sum(axis=0), rho)
-    # every institution sits at or above both its floor and its requirement
-    assert np.all(y >= req - 1e-12)
-    assert np.all(y >= floors[:, None] - 1e-12)
-    # the allocation keeps every scenario safe at the critical levels
-    assert np.all(small_risk_vector.positions + y >= 0.0 - 1e-12)
 
 
 def test_monotone_in_positions():

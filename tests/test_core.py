@@ -27,7 +27,6 @@ from sysrisk.core import (
     allocation_price,
     clearing_vector,
     critical_levels,
-    dominates,
     is_acceptable,
     rank_by_expected_allocation,
     spectral_radius,
@@ -181,7 +180,7 @@ class TestClearingVector:
         x = np.array([1.0, -0.5, 0.2])
         y_lo = clearing_vector(pi, x)
         y_hi = clearing_vector(pi, x + np.array([0.5, 0.0, 0.0]))
-        assert dominates(y_hi, y_lo)
+        assert np.all(y_hi >= y_lo - 1e-12)
 
     def test_batched_scenarios_match_single_columns_and_reference(self):
         rng = np.random.default_rng(31)

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from sysrisk import finite_alloc
-from sysrisk.core import RiskVector, ScenarioSpace
+from sysrisk.core import RiskVector, ScenarioSpace, rank_by_expected_allocation
 from sysrisk.finite_alloc import (
     MAX_SWEEP_INSTITUTIONS,
     enumerate_partitions,
     group_sweep,
     normalize_partition,
-    pair_partitions,
-    rank_institutions,
     solve_grouped,
 )
 
@@ -80,15 +78,6 @@ def test_normalize_partition_canonical_form():
 def test_normalize_partition_rejects_malformed(bad, msg):
     with pytest.raises(ValueError, match=msg):
         normalize_partition(bad, 3)
-
-
-def test_pair_partitions_enumeration():
-    pairs = pair_partitions(4)
-    assert len(pairs) == 6  # C(4, 2)
-    assert ((0, 2), (1,), (3,)) in pairs
-    for p in pairs:
-        assert p == normalize_partition(p, 4)
-        assert sorted(len(b) for b in p) == [1, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -409,4 +398,4 @@ def test_rank_institutions_frozen(example):
     x, alphas, gamma = example
     sol = solve_grouped(x, alphas, gamma, SINGLES)
     # descending expected allocation; the 11.216 tie breaks by index
-    assert rank_institutions(sol) == (0, 2, 1, 3)
+    assert rank_by_expected_allocation(x.space, sol.allocation) == (0, 2, 1, 3)

@@ -19,7 +19,6 @@ from sysrisk.gaussian_det import (
     mills_sum,
     norm_pdf,
     optimal_deterministic,
-    sensitivities,
     shortfall_expectation,
     solve_r,
 )
@@ -193,47 +192,54 @@ def test_solve_is_fast():
 
 
 class TestSensitivities:
-    sys_ = GaussianSystem(np.zeros(2), np.array([[1.0, 0.0], [0.0, 9.0]]))
+    """First-order response of the deterministic optimum m = d - mu - sigma R,
+    by central differences of ``optimal_deterministic``.  With S = sum sigma and
+    the hazard h = R + phi(R)/Phi(R), one over the slope of ``_log_mills_sum``,
+
+        dm_i/dmu_k = -delta_ik,    dm_i/dsigma_k = (sigma_i/S) h - delta_ik R.
+    """
+    sigma = np.array([1.0, 3.0])
+    step = 1e-6
+
+    def _m(self, mu, sigma):
+        return optimal_deterministic(GaussianSystem(mu, np.diag(sigma**2)), 0.7).m
+
+    def _central_differences(self, wrt_mu: bool) -> np.ndarray:
+        mu, cols = np.zeros(2), []
+        for e in self.step * np.eye(2):
+            if wrt_mu:
+                up, dn = self._m(mu + e, self.sigma), self._m(mu - e, self.sigma)
+            else:
+                up, dn = self._m(mu, self.sigma + e), self._m(mu, self.sigma - e)
+            cols.append((up - dn) / (2.0 * self.step))
+        return np.column_stack(cols)
 
     def test_mu_derivative_is_minus_one(self):
-        sens = sensitivities(self.sys_, 0.7)
-        assert np.allclose(sens.dm_dmu, -1.0)
+        assert np.allclose(self._central_differences(wrt_mu=True), -np.eye(2))
 
     def test_sigma_derivatives_match_finite_differences(self):
-        sens = sensitivities(self.sys_, 0.7)
-        h = 1e-6
-        for k in range(2):
-            sigma = np.array([1.0, 3.0])
-            up, dn = sigma.copy(), sigma.copy()
-            up[k] += h
-            dn[k] -= h
-            m_up = optimal_deterministic(
-                GaussianSystem(np.zeros(2), np.diag(up**2)), 0.7
-            ).m
-            m_dn = optimal_deterministic(
-                GaussianSystem(np.zeros(2), np.diag(dn**2)), 0.7
-            ).m
-            fd = (m_up - m_dn) / (2 * h)
-            assert np.allclose(sens.dm_dsigma[:, k], fd, atol=1e-5)
+        r = optimal_deterministic(GaussianSystem(np.zeros(2), np.diag(self.sigma**2)), 0.7).r_star
+        hazard = 1.0 / gaussian_det._log_mills_sum(r)[1]
+        expected = np.outer(self.sigma / self.sigma.sum(), np.full(2, hazard)) - r * np.eye(2)
+        assert np.allclose(self._central_differences(wrt_mu=False), expected, atol=1e-5)
 
     def test_own_volatility_always_costs_capital(self):
-        sens = sensitivities(self.sys_, 0.7)
-        assert np.all(np.diag(sens.dm_dsigma) > 0.0)
+        assert np.all(np.diag(self._central_differences(wrt_mu=False)) > 0.0)
 
     def test_finite_where_phi_underflows(self):
         # R is about -37.9 here, where ndtr(R) is 0.0 in floating point
-        sens = sensitivities(GaussianSystem(np.zeros(2), np.eye(2)), 1e-315)
-        assert np.isfinite(sens.dm_dsigma).all() and np.isfinite(sens.dr_dsigma).all()
-        assert np.all(np.diag(sens.dm_dsigma) > 0.0)
+        r = optimal_deterministic(GaussianSystem(np.zeros(2), np.eye(2)), 1e-315).r_star
+        log_f, slope = gaussian_det._log_mills_sum(r)
+        assert math.isfinite(log_f) and 0.0 < slope < math.inf
 
     def test_hazard_against_mpmath(self):
-        """dR/dsigma_k = -(R + phi(R)/Phi(R)) / S, against a 60-digit reference
+        """h = 1 / slope of ``_log_mills_sum``, against a 60-digit reference
         for R from about -37 to 30 (the direct form is off by up to 3e-10)."""
         mpmath = pytest.importorskip("mpmath")
         system = GaussianSystem(np.zeros(2), np.diag([1.0, 9.0]))
         for gamma in 4.0 * np.logspace(-300.0, math.log10(30.0), 301):
-            sens = sensitivities(system, gamma)
+            r = optimal_deterministic(system, gamma).r_star
+            hazard = 1.0 / gaussian_det._log_mills_sum(r)[1]
             with mpmath.workdps(60):
-                r = mpmath.mpf(optimal_deterministic(system, gamma).r_star)
-                hazard = r + mpmath.npdf(r) / mpmath.ncdf(r)
-                assert abs(float(-4.0 * sens.dr_dsigma[0] / hazard) - 1.0) <= 2e-12
+                ref = mpmath.mpf(r) + mpmath.npdf(r) / mpmath.ncdf(r)
+                assert abs(float(hazard / ref) - 1.0) <= 2e-12

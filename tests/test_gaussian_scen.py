@@ -869,6 +869,29 @@ def test_a_failing_system_leaves_the_others_alone():
                for i in (0, 1, 3, 4, 5, 6, 9, 10))
 
 
+# independent banks with d = 0 and gamma 0.3, one holding 1-5% of the other's
+# volatility (ROADMAP item 4): sd -> {trigger: the error today, or None}.  At
+# sd 0.01 and trigger 0.5 the big bank's calm probability underflows to 0.0.
+SMALL_BANK_PINS = {
+    0.01: {0.5: "singular at residual nan", 0.0: "stalled at residual 24.9$"},
+    0.02: {0.5: "stalled at residual 303$"},
+    0.05: {0.5: None, 0.0: None, -1.0: None},
+}
+
+
+@pytest.mark.parametrize("sd", sorted(SMALL_BANK_PINS))
+def test_small_bank_pins(sd):
+    system = GaussianSystem(np.zeros(2), np.diag([sd * sd, 1.0]))
+    for trigger, error in SMALL_BANK_PINS[sd].items():
+        if error is not None:
+            with pytest.raises(ConvergenceError, match=error):
+                solve_two_state(system, 0.3, np.zeros(2), trigger)
+            continue
+        sol = solve_two_state(system, 0.3, np.zeros(2), trigger)
+        assert sol.converged and sol.residual <= gaussian_scen.NEWTON_TOL
+        assert np.isfinite([sol.rho, *sol.m, *sol.alpha]).all()
+
+
 def test_trigger_must_not_be_nan_and_infinite_ones_need_no_transfer():
     system = _system(-1.5, 3.0)
     with pytest.raises(ValueError, match="trigger"):

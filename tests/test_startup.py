@@ -136,3 +136,17 @@ def test_import_loads_no_scipy_submodule_and_first_use_matches():
     fresh = json.loads(proc.stdout)
     assert fresh["loaded"] == []
     assert fresh["calls"] == first_calls()
+
+
+def test_export_list_is_what_init_imports():
+    """``__all__`` lists each name ``__init__`` imports from the submodules
+    once, and every entry resolves, so ``from sysrisk import *`` cannot break
+    on a name a deletion left behind."""
+    tree = ast.parse(Path(sysrisk.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+    assert len(set(sysrisk.__all__)) == len(sysrisk.__all__)
+    assert set(sysrisk.__all__) == imported
+    namespace: dict = {}
+    exec("from sysrisk import *", namespace)
+    assert set(sysrisk.__all__) <= namespace.keys()
