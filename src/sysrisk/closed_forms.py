@@ -26,6 +26,7 @@ from .core import (
     WorstCase,
     critical_levels,
     expected_shortfall,
+    floor_levels,
 )
 
 
@@ -64,8 +65,9 @@ def rho_constrained(x: RiskVector, floors, d=None) -> tuple[float, np.ndarray]:
     """Scenario-dependent capital with per-institution floors gamma_i <= 0.
 
     Institution i may be charged down to gamma_i in good scenarios (gamma_i =
-    -inf removes the floor).  The admissible total must be scenario-constant,
-    so the optimum is the worst scenario's total requirement:
+    -inf removes the floor, NaN is refused by ``core.floor_levels``).  The
+    admissible total must be scenario-constant, so the optimum is the worst
+    scenario's total requirement:
 
         rho = max_j sum_i max(d_i - X_ij, gamma_i)
 
@@ -74,11 +76,7 @@ def rho_constrained(x: RiskVector, floors, d=None) -> tuple[float, np.ndarray]:
     the slack (rho - column total) anywhere, e.g. with institution 0.
     """
     d = critical_levels(d, x.n)
-    g = np.asarray(floors, dtype=float)
-    if g.shape != (x.n,):
-        raise ValueError("floors must have one entry per institution")
-    if np.any(g > 0.0):
-        raise ValueError("floors must be <= 0")
+    g = floor_levels(floors, x.n)
     requirement = np.maximum(d[:, None] - x.positions, g[:, None])
     rho = float(requirement.sum(axis=0).max())
     return rho, requirement

@@ -61,6 +61,16 @@ def critical_levels(d, n: int) -> np.ndarray:
     return d
 
 
+def floor_levels(floors, n: int | None = None) -> np.ndarray:
+    """Floors gamma as floats: a vector (of n entries, when n is given), each <= 0, -inf for none."""
+    g = np.asarray(floors, dtype=float)
+    if g.ndim != 1 or (n is not None and g.size != n):
+        raise ValueError("floors must be a vector with one entry per institution")
+    if not np.all(g <= 0.0):                 # NaN fails this too
+        raise ValueError("floors must be <= 0 (-inf for none), not NaN")
+    return g
+
+
 # ---------------------------------------------------------------------------
 # scenario space / positions
 # ---------------------------------------------------------------------------

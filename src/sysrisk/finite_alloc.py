@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import RiskVector
+from .core import ExponentialLoss, RiskVector
 
 # Enumeration is refused beyond this.  A sweep keeps all Bell(n) entries: on a
 # 2-vCPU Xeon, n = 9 gives 21,147 entries in about 0.13 s (9 MiB tracemalloc
@@ -118,12 +118,10 @@ def solve_grouped(
 
 
 def _validated(x: RiskVector, alphas, gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Checked alphas, log scenario probabilities and beta_N."""
-    alphas = np.asarray(alphas, dtype=float)
+    """Checked alphas (each value by ExponentialLoss), log scenario probabilities and beta_N."""
+    alphas = ExponentialLoss(alphas).alpha
     if alphas.shape != (x.n,):
         raise ValueError("alphas must have one entry per institution")
-    if np.any(alphas <= 0.0):
-        raise ValueError("alphas must be strictly positive")
     if not 0.0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     return alphas, np.log(x.space.probabilities), float((1.0 / alphas).sum())

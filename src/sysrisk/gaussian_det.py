@@ -110,8 +110,8 @@ def optimal_deterministic(
     system: GaussianSystem, gamma: float, d=None
 ) -> DeterministicSolution:
     """Cheapest deterministic allocation meeting the expected-shortfall budget."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     sigma = system.sigma
     d = critical_levels(d, system.n)
     r = solve_r(gamma / float(sigma.sum()))

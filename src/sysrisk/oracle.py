@@ -31,10 +31,11 @@ FullyFlexible, ShortfallSum and ES 0.2 takes 15-21 ms at 8 x 100
 
 Every branch returns an acceptable allocation or raises ``InfeasibleError`` or
 ``ConvergenceError``.  Two cases have no exact method and raise ``ValueError``:
-exponential loss with floors, and GainLossWeighted with some v_i > 0 (not
-concave).  An unbounded LP also raises ``ValueError``: rho is -inf there, as
-for GainLossWeighted with beta_i > alpha_k (i != k) and transferable cash,
-where moving cash from k to i raises the aggregate at no cost.
+exponential loss with a finite floor (all -inf floors have FullyFlexible's
+map and answer), and GainLossWeighted with some v_i > 0 (not concave).  An
+unbounded LP also raises ``ValueError``: rho is -inf there, as for
+GainLossWeighted with beta_i > alpha_k (i != k) and transferable cash, where
+moving cash from k to i raises the aggregate at no cost.
 
 ``numeric_rho_family`` turns a monotone family of expectation floors into a
 single number, the cheapest self-consistent budget.  The schedule is flat
@@ -70,6 +71,7 @@ from .core import (
     Sum,
     WorstCase,
     aggregate_scenarios,
+    floor_levels,
     is_acceptable,
     rank_by_expected_allocation,
 )
@@ -99,17 +101,12 @@ class FullyFlexible:
 
 @dataclass(eq=False)
 class FloorConstrained:
-    """Scenario-dependent cash with per-institution floors (<= 0, -inf allowed)."""
+    """Scenario-dependent cash with per-institution floors (``core.floor_levels``: <= 0, -inf allowed)."""
 
     floors: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.floors, dtype=float)
-        if g.ndim != 1:
-            raise ValueError("floors must be a vector")
-        if np.any(g > 0.0):
-            raise ValueError("floors must be <= 0")
-        self.floors = g
+        self.floors = floor_levels(self.floors)
 
 
 @dataclass(eq=False)
@@ -419,9 +416,10 @@ def _lp_solve(x: RiskVector, cls: AllocationClass, lam, criterion) -> RiskResult
         grid.append([v, cells, c, w] if es else [v, cells])
         rhs.append(np.ravel(b))
 
-    column_sums = _kron_eye(np.ones((1, n)), m)
+    eye_m = scipy.sparse.eye_array(m)
+    column_sums = scipy.sparse.kron(np.ones((1, n)), eye_m)
     if isinstance(lam, EisenbergNoe):
-        rows(x.positions, v=-ymap, cells=_kron_eye(lam.pi - np.eye(n), m))
+        rows(x.positions, v=-ymap, cells=scipy.sparse.kron(lam.pi - np.eye(n), eye_m))
         outcome, cell_bound = -column_sums, (0.0, None)
     else:
         for slope, shift in _pieces(lam, n):
@@ -474,15 +472,6 @@ def _lp_solve(x: RiskVector, cls: AllocationClass, lam, criterion) -> RiskResult
     )
 
 
-def _kron_eye(a: np.ndarray, m: int) -> scipy.sparse.coo_array:
-    """kron(a, I_m) from index arrays: entry (r m + j, c m + j) is a[r, c]."""
-    r, c = np.nonzero(a)
-    cells = np.arange(m)
-    rows, cols = (r[:, None] * m + cells).ravel(), (c[:, None] * m + cells).ravel()
-    return scipy.sparse.coo_array((np.repeat(a[r, c], m), (rows, cols)),
-                            shape=(a.shape[0] * m, a.shape[1] * m))
-
-
 def _pieces(lam, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Affine pieces (slope s, shift c) with Lambda_i(x) = min over pieces of s_i x + c_i."""
     zero = np.zeros(n)
@@ -529,8 +518,8 @@ def _rho_of_fitted(x: RiskVector, cls: AllocationClass, lam: Aggregation,
             res.diagnostics["method"] = "exact-worst-case-clearing"
             return res
     if isinstance(lam, ExponentialLoss):
-        if isinstance(cls, FloorConstrained):
-            raise ValueError("exponential loss with floor constraints has no exact "
+        if isinstance(cls, FloorConstrained) and np.isfinite(cls.floors).any():
+            raise ValueError("exponential loss with a finite floor has no exact "
                              "method: floors turn the Newton system into a complementarity problem")
         budget = -criterion.b
         if budget <= 0.0:

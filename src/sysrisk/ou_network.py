@@ -90,7 +90,7 @@ def homogeneous_variance(p: float, sigma: float, rho: float, n: int, t: float) -
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if p < 0.0 or t < 0.0:
+    if not (p >= 0.0 and t >= 0.0):          # NaN fails too
         raise ValueError("p and t must be nonnegative")
     idio = sigma**2 * (1.0 - rho**2)
     pooled = sigma**2 * (rho**2 + (1.0 - rho**2) / n)
@@ -153,7 +153,7 @@ def central_clearing_moments(
     """
     if n < 2:
         raise ValueError("need n >= 2: the center and at least one periphery bank")
-    if p <= 0.0 or t < 0.0:
+    if not (p > 0.0 and t >= 0.0):           # NaN fails too
         raise ValueError("p must be positive and t nonnegative")
     a = np.array(
         [
@@ -198,7 +198,7 @@ def heterogeneous_covariance(model: NetworkModel, t: float) -> GaussianSystem:
     the total of each connected component).  GaussianSystem checks that the
     result is positive semidefinite.
     """
-    if t <= 0.0:
+    if not t > 0.0:                          # NaN fails too
         raise ValueError("t must be positive")
     lam, vecs = np.linalg.eigh(model.laplacian())
     rate = lam[:, None] + lam[None, :]
@@ -235,7 +235,7 @@ def simulate_paths(
     """
     if paths < 1 or steps < 1:
         raise ValueError("paths and steps must be positive")
-    if t <= 0.0:
+    if not t > 0.0:                          # NaN fails too
         raise ValueError("t must be positive")
     n = model.n
     dt = t / steps

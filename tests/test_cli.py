@@ -482,6 +482,10 @@ def _floor(b):
     return {"type": "expectation-floor", "b": b}
 
 
+SHORTFALL = {"type": "shortfall-sum", "d": [0, 0]}
+NAN_FLOORS = {"class": {"type": "floor-constrained", "floors": [math.nan, 0.0]}}
+
+
 NON_FINITE_INPUTS = {
     "nan-floor-exponential": ("oracle", dict(ORACLE_INPUT, aggregation=EXPONENTIAL,
                                              acceptance=_floor(math.nan)), []),
@@ -496,13 +500,36 @@ NON_FINITE_INPUTS = {
     "inf-gamma-finite": ("finite", dict(FINITE_INPUT, partition=[[0, 1]]), ["--gamma", "inf"]),
     "sweep-to-inf": ("gaussian-scen", TWO_BANK, ["--sweep", "gamma:0.1:inf:1"]),
     "sweep-overflowing-count": ("gaussian-scen", TWO_BANK, ["--sweep", "gamma:0.1:1e300:1e-300"]),
+    "nan-floors-worst-case": ("worst-case", dict(WORST_CASE_INPUT, floors=[math.nan, 0.0]), []),
+    "nan-floors-shortfall-sum-worst-case": ("oracle", dict(
+        ORACLE_INPUT, aggregation=SHORTFALL, acceptance={"type": "worst-case"}, **NAN_FLOORS), []),
+    "nan-floors-sum-worst-case": ("oracle", dict(
+        ORACLE_INPUT, acceptance={"type": "worst-case"}, **NAN_FLOORS), []),
+    "nan-floors-es-lp": ("oracle", dict(
+        ORACLE_INPUT, aggregation=SHORTFALL, acceptance={"type": "expected-shortfall"},
+        **NAN_FLOORS), []),
+    "nan-alpha-finite": ("finite", dict(FINITE_INPUT, alphas=[math.nan, 0.3], partition=[[0, 1]]), []),
+    "inf-alpha-finite": ("finite", dict(FINITE_INPUT, alphas=[math.inf, 0.3], partition=[[0, 1]]), []),
+    "nan-gamma-gaussian-det": ("gaussian-det", TWO_BANK, ["--gamma", "nan"]),
+    "inf-gamma-gaussian-det": ("gaussian-det", TWO_BANK, ["--gamma", "inf"]),
+    "nan-gamma-gaussian-scen": ("gaussian-scen", TWO_BANK, ["--gamma", "nan"]),
+    "inf-gamma-gaussian-scen": ("gaussian-scen", TWO_BANK, ["--gamma", "inf"]),
+    "unknown-aggregation": ("oracle", dict(ORACLE_INPUT, aggregation={"type": "max"},
+                                           acceptance={"type": "worst-case"}), []),
+    "unknown-class": ("oracle", dict(ORACLE_INPUT, acceptance={"type": "worst-case"},
+                                     **{"class": {"type": "bespoke"}}), []),
+    "unknown-acceptance": ("oracle", dict(ORACLE_INPUT, acceptance={"type": "value-at-risk"}), []),
+    "correlation-sweep-3x3": ("gaussian-scen", {"mu": [0, 0, 0], "cov": np.eye(3).tolist(),
+                                                "gamma": 0.7}, ["--sweep", "correlation:0:0.5:0.5"]),
 }
 
 
 @pytest.mark.parametrize("case", NON_FINITE_INPUTS)
 def test_non_finite_input_is_a_configuration_error(tmp_path, capsys, case):
-    """Each of these once printed nan or -inf cells, stalled (exit 3) or
-    ended in an OverflowError traceback."""
+    """One configuration-error line and no output.  The non-finite inputs
+    once printed nan or -inf cells, read a NaN floor as no floor, stalled
+    (exit 3) or ended in an OverflowError traceback; the unknown type names
+    and the 3 x 3 correlation sweep are the rest of main's exit-1 paths."""
     solver, payload, extra = NON_FINITE_INPUTS[case]
     src = write_json(tmp_path, "model.json", payload)
     code, rows = run_cli(tmp_path, "--solver", solver, "--input", src, *extra)
@@ -544,6 +571,31 @@ def test_oracle_class_that_does_not_fit_exits_1(tmp_path, capsys, misfit, branch
     assert err.startswith("sysrisk: configuration error:")
     assert "Traceback" not in err
     assert rows == [] and not (tmp_path / "out.csv").exists()
+
+
+def test_exponential_loss_under_worst_case_exits_2(tmp_path, capsys):
+    src = write_json(tmp_path, "model.json", dict(
+        ORACLE_INPUT, aggregation=EXPONENTIAL, acceptance={"type": "worst-case"}))
+    code, rows = run_cli(tmp_path, "--solver", "oracle", "--input", src)
+    err = capsys.readouterr().err
+    assert code == 2 and rows == []
+    assert err.startswith("sysrisk: infeasible:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("acceptance,method", [
+    ({"type": "worst-case"}, "exact-worst-case-clearing"),
+    ({"type": "expected-shortfall", "level": 0.5}, "lp"),
+])
+def test_oracle_eisenberg_noe_branches(tmp_path, acceptance, method):
+    """Every scenario must clear with no loss: both branches top each
+    institution up to zero, so rho is the worst column total of -X, 7."""
+    src = write_json(tmp_path, "model.json", dict(
+        ORACLE_INPUT, aggregation={"type": "eisenberg-noe", "pi": [[0, 0.5], [0.3, 0]]},
+        acceptance=acceptance, **{"class": {"type": "fully-flexible"}}))
+    code, rows = run_cli(tmp_path, "--solver", "oracle", "--input", src)
+    assert code == 0
+    assert value_of(rows, "method") == method
+    assert float(value_of(rows, "rho")) == pytest.approx(7.0, abs=1e-9)
 
 
 def test_large_budget_takes_cash_out(tmp_path):

@@ -27,6 +27,7 @@ from sysrisk.core import (
     allocation_price,
     clearing_vector,
     critical_levels,
+    floor_levels,
     is_acceptable,
     rank_by_expected_allocation,
     spectral_radius,
@@ -397,6 +398,27 @@ def test_critical_levels_default_to_zero_and_must_be_finite():
     for d in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]):
         with pytest.raises(ValueError, match="finite"):
             critical_levels(d, 2)
+
+
+def test_floor_levels_are_nonpositive_with_minus_inf_for_none():
+    from sysrisk.closed_forms import rho_constrained
+    from sysrisk.oracle import FloorConstrained
+
+    g = floor_levels([0, -1.5, -np.inf])
+    assert g.dtype == float
+    np.testing.assert_array_equal(g, [0.0, -1.5, -np.inf])
+    np.testing.assert_array_equal(floor_levels([-1, 0], 2), [-1.0, 0.0])
+    for bad in (0.0, [[0.0, -1.0]]):
+        with pytest.raises(ValueError, match="vector"):
+            floor_levels(bad)
+    with pytest.raises(ValueError, match="one entry per institution"):
+        floor_levels([0.0], 2)
+    x = RiskVector(ScenarioSpace(np.array([0.5, 0.5])), np.array([[1.0, -1.0], [2.0, 0.5]]))
+    for bad in ([np.nan, 0.0], [0.1, 0.0], [np.inf, 0.0]):
+        for check in (lambda g: floor_levels(g, 2), lambda g: rho_constrained(x, g),
+                      FloorConstrained):
+            with pytest.raises(ValueError, match="<= 0"):
+                check(bad)
 
 
 def _critical_level_callers():

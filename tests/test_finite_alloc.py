@@ -376,6 +376,8 @@ def test_logsumexp_matches_50_digit_reference():
         (np.full(4, 0.3), -1.0, "gamma"),
         (np.full(4, 0.3), math.nan, "gamma"),
         (np.full(4, 0.3), math.inf, "gamma"),
+        (np.array([math.nan, 0.3, 0.3, 0.3]), 50.0, "non-finite"),
+        (np.array([math.inf, 0.3, 0.3, 0.3]), 50.0, "non-finite"),
     ],
 )
 def test_group_sweep_validates_inputs(example, alphas, gamma, msg):

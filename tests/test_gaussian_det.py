@@ -105,6 +105,13 @@ class TestSolveR:
             assert log_f == pytest.approx(math.log(target), rel=1e-14)
 
 
+def test_gamma_must_be_positive_and_finite():
+    system = GaussianSystem(np.zeros(2), np.array([[1.0, -1.5], [-1.5, 9.0]]))
+    for gamma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            optimal_deterministic(system, gamma)
+
+
 def test_shortfall_expectation_matches_quadrature():
     for m, mu, sigma, d in [(0.5, 0.0, 1.0, 0.0), (-1.0, 2.0, 3.0, 1.0), (4.0, -1.0, 0.5, 0.0)]:
         val, _ = quad(

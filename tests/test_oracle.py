@@ -493,9 +493,23 @@ def test_exponential_rejects_sign_criteria(small_risk_vector):
 
 def test_refuses_exponential_loss_with_floors(small_risk_vector):
     lam = ExponentialLoss(np.array([0.2, 0.3]))
-    with pytest.raises(ValueError, match="no exact method"):
-        numeric_rho(small_risk_vector, FloorConstrained(np.zeros(2)), lam,
-                    ExpectationFloor(-10.0))
+    for floors in (np.zeros(2), np.array([-np.inf, -1.0])):
+        with pytest.raises(ValueError, match="no exact method"):
+            numeric_rho(small_risk_vector, FloorConstrained(floors), lam,
+                        ExpectationFloor(-10.0))
+
+
+def test_exponential_loss_without_a_finite_floor_is_fully_flexible():
+    """All floors at -inf leave FullyFlexible's allocation map, so the
+    Newton branch gives FullyFlexible's answer to the bit."""
+    for seed in range(20):
+        x, alphas, gamma = sample_instance(seed)
+        lam, crit = ExponentialLoss(alphas), ExpectationFloor(-gamma)
+        floored = numeric_rho(x, FloorConstrained(np.full(x.n, -np.inf)), lam, crit)
+        flexible = numeric_rho(x, FullyFlexible(), lam, crit)
+        assert floored.rho == flexible.rho
+        np.testing.assert_array_equal(floored.allocation, flexible.allocation)
+        assert floored.diagnostics == flexible.diagnostics
 
 
 def test_refuses_nonconcave_gain_loss(small_risk_vector):

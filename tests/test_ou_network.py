@@ -327,6 +327,30 @@ def test_simulation_records_its_shape():
 # model validation
 
 
+_NAN_DOMAIN_CALLS = {   # name: (call on a 3-bank model, its domain message)
+    "homogeneous-p": (lambda m: homogeneous_variance(math.nan, 1.0, 0.4, 3, 1.0),
+                      "p and t must be nonnegative"),
+    "homogeneous-t": (lambda m: homogeneous_variance(1.0, 1.0, 0.4, 3, math.nan),
+                      "p and t must be nonnegative"),
+    "central-p": (lambda m: central_clearing_moments(math.nan, 1.0, 1.0, 0.4, 0.4, 3, 1.0),
+                  "p must be positive and t nonnegative"),
+    "central-t": (lambda m: central_clearing_moments(1.0, 1.0, 1.0, 0.4, 0.4, 3, math.nan),
+                  "p must be positive and t nonnegative"),
+    "heterogeneous-t": (lambda m: heterogeneous_covariance(m, math.nan), "t must be positive"),
+    "simulate-t": (lambda m: simulate_paths(m, math.nan, paths=10, steps=5, seed=0),
+                   "t must be positive"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NAN_DOMAIN_CALLS))
+def test_nan_rates_and_horizons_are_rejected(call):
+    """Each once returned NaN moments, or failed only inside GaussianSystem."""
+    model = NetworkModel(0.5 * (np.ones((3, 3)) - np.eye(3)), np.ones(3), np.zeros(3), np.zeros(3))
+    run, msg = _NAN_DOMAIN_CALLS[call]
+    with pytest.raises(ValueError, match=msg):
+        run(model)
+
+
 @pytest.mark.parametrize(
     "mangle,msg",
     [
