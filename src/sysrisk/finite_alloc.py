@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ExponentialLoss, RiskVector
+from .core import RiskVector, exponential_coefficients
 
 # Enumeration is refused beyond this.  A sweep keeps all Bell(n) entries: on a
 # 2-vCPU Xeon, n = 9 gives 21,147 entries in about 0.13 s (9 MiB tracemalloc
@@ -118,8 +118,8 @@ def solve_grouped(
 
 
 def _validated(x: RiskVector, alphas, gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Checked alphas (each value by ExponentialLoss), log scenario probabilities and beta_N."""
-    alphas = ExponentialLoss(alphas).alpha
+    """Checked alphas (core.exponential_coefficients), log scenario probabilities and beta_N."""
+    alphas = exponential_coefficients(alphas)
     if alphas.shape != (x.n,):
         raise ValueError("alphas must have one entry per institution")
     if not 0.0 < gamma < math.inf:

@@ -70,6 +70,7 @@ from .core import (
     ShortfallSum,
     Sum,
     WorstCase,
+    _read_only,
     aggregate_scenarios,
     floor_levels,
     is_acceptable,
@@ -99,14 +100,18 @@ class FullyFlexible:
     """Scenario-dependent cash, only the total is scenario-constant."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class FloorConstrained:
-    """Scenario-dependent cash with per-institution floors (``core.floor_levels``: <= 0, -inf allowed)."""
+    """Scenario-dependent cash with per-institution floors (``core.floor_levels``: <= 0, -inf allowed).
+
+    The floors are checked once, at construction, so the instance is frozen
+    and keeps a read-only copy.
+    """
 
     floors: np.ndarray
 
     def __post_init__(self):
-        self.floors = floor_levels(self.floors)
+        object.__setattr__(self, "floors", _read_only(floor_levels(self.floors)))
 
 
 @dataclass(eq=False)

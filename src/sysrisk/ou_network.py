@@ -90,11 +90,13 @@ def homogeneous_variance(p: float, sigma: float, rho: float, n: int, t: float) -
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (p >= 0.0 and t >= 0.0):          # NaN fails too
-        raise ValueError("p and t must be nonnegative")
+    if not (p >= 0.0 and 0.0 <= t < math.inf):   # NaN fails too; p = inf is the limit
+        raise ValueError("p and t must be nonnegative, and t finite")
+    if not (math.isfinite(sigma) and math.isfinite(rho)):
+        raise ValueError("sigma and rho must be finite")
     idio = sigma**2 * (1.0 - rho**2)
     pooled = sigma**2 * (rho**2 + (1.0 - rho**2) / n)
-    relax = t if p == 0.0 else -math.expm1(-2.0 * p * t) / (2.0 * p)
+    relax = t if p == 0.0 or t == 0.0 else -math.expm1(-2.0 * p * t) / (2.0 * p)
     return idio * (1.0 - 1.0 / n) * relax + pooled * t
 
 
@@ -153,8 +155,10 @@ def central_clearing_moments(
     """
     if n < 2:
         raise ValueError("need n >= 2: the center and at least one periphery bank")
-    if not (p > 0.0 and t >= 0.0):           # NaN fails too
-        raise ValueError("p must be positive and t nonnegative")
+    if not (0.0 < p < math.inf and 0.0 <= t < math.inf):   # NaN fails too
+        raise ValueError("p must be positive and t nonnegative, both finite")
+    if not all(map(math.isfinite, (sigma, sigma_c, rho, rho_c))):
+        raise ValueError("sigma, sigma_c, rho and rho_c must be finite")
     a = np.array(
         [
             [-2.0, 0.0, 2.0, 0.0],
@@ -198,8 +202,8 @@ def heterogeneous_covariance(model: NetworkModel, t: float) -> GaussianSystem:
     the total of each connected component).  GaussianSystem checks that the
     result is positive semidefinite.
     """
-    if not t > 0.0:                          # NaN fails too
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:               # NaN fails too
+        raise ValueError("t must be positive and finite")
     lam, vecs = np.linalg.eigh(model.laplacian())
     rate = lam[:, None] + lam[None, :]
     still = rate == 0.0
@@ -235,8 +239,8 @@ def simulate_paths(
     """
     if paths < 1 or steps < 1:
         raise ValueError("paths and steps must be positive")
-    if not t > 0.0:                          # NaN fails too
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:               # NaN fails too
+        raise ValueError("t must be positive and finite")
     n = model.n
     dt = t / steps
     sigma, rho = model.sigma, model.rho_common

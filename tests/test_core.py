@@ -212,16 +212,17 @@ class TestClearingVector:
 
 
 def _plain_rounds(pi, x):
-    """Fictitious default from {x > 0} with no warm start, all columns at once."""
+    """Fictitious default from {x > 0} with no warm start: each column's round
+    solves its own k x k block (as clearing_reference does), the pressure of
+    all columns at once."""
     x = x.reshape(x.shape[0], -1)
     active = x > 0.0
     y = np.zeros_like(x)
     todo = np.flatnonzero(active.any(axis=0))
-    eye = np.eye(pi.shape[0])
     while todo.size:
-        a = active[:, todo].T
-        mats = eye - pi * (a[:, :, None] & a[:, None, :])
-        y[:, todo] = np.linalg.solve(mats, np.where(a, x[:, todo].T, 0.0)[:, :, None])[:, :, 0].T
+        for j in todo:
+            idx = np.flatnonzero(active[:, j])
+            y[idx, j] = np.linalg.solve(np.eye(idx.size) - pi[np.ix_(idx, idx)], x[idx, j])
         grown = ~active[:, todo] & (x[:, todo] + pi @ y[:, todo] > 0.0)
         active[:, todo] |= grown
         todo = todo[grown.any(axis=0)]
@@ -261,6 +262,32 @@ def test_warm_start_returns_the_plain_rounds_bits(pi, x):
     if x.shape[1] <= 40:
         for j in range(x.shape[1]):
             assert np.array_equal(y[:, j], clearing_vector(pi, x[:, j]))
+
+
+def test_clearing_has_the_active_set_reference_bits_column_by_column():
+    # one k x k solve per defaulting scenario, as the reference does, so no
+    # column may differ in any bit (an N x N padded solve moves the last bits)
+    rng = np.random.default_rng(43)
+    columns = 0
+    for n in range(1, 16):
+        for m in (1, 7, 60):
+            pi = _liability_shares(rng, n) if n > 1 else np.array([[rng.uniform(0.0, 0.9)]])
+            x = rng.normal(-0.2, 1.0, (n, m))
+            y = clearing_vector(pi, x)
+            for j in range(m):
+                assert np.array_equal(y[:, j], active_set_clearing(pi, x[:, j])), (n, m, j)
+            columns += m
+    assert columns == 15 * 68
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clearing_rejects_non_finite_losses(bad):
+    # a NaN loss must not clear to 0, which EisenbergNoe would read as solvent
+    pi = np.array([[0.0, 0.5], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="finite losses"):
+        clearing_vector(pi, np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match="finite losses"):
+        aggregate_scenarios(EisenbergNoe(pi), np.array([[-1.0, bad], [0.5, -1.0]]))
 
 
 def test_warm_start_that_stops_short_still_ends_exact():
@@ -340,6 +367,28 @@ def test_eisenberg_noe_pi_cannot_bypass_its_check():
     assert lam.pi.any()
     assert np.array_equal(aggregate_scenarios(lam, x), expected)
     assert np.array_equal(expected, -clearing_vector(lam.pi, -x).sum(axis=0))
+
+
+@pytest.mark.parametrize(
+    "make,field,bad",
+    [(ShortfallSum, "d", np.nan), (ExponentialLoss, "alpha", -1.0)],
+    ids=["shortfall-d", "exponential-alpha"],
+)
+def test_checked_aggregation_fields_cannot_bypass_their_check(make, field, bad):
+    # each field is checked only at construction, so the instance holds its
+    # own read-only copy and refuses reassignment
+    rng = np.random.default_rng(47)
+    values = rng.uniform(0.5, 1.5, 4)
+    x = rng.normal(0.2, 1.0, (4, 30))
+    lam = make(values)
+    expected = aggregate_scenarios(lam, x)
+    with pytest.raises(AttributeError):
+        setattr(lam, field, np.full(4, bad))
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(lam, field)[0] = bad
+    values[:] = bad
+    assert np.all(np.isfinite(getattr(lam, field)))
+    assert np.array_equal(aggregate_scenarios(lam, x), expected)
 
 
 def test_eisenberg_noe_aggregation_is_nonpositive_and_monotone():

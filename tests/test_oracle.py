@@ -266,6 +266,25 @@ def test_worst_case_sum_with_an_unbounded_floor(small_risk_vector):
     assert is_acceptable(WorstCase(), x.space, aggregate_scenarios(Sum(), x.positions + y))
 
 
+def test_floor_constrained_floors_cannot_bypass_their_check(small_risk_vector):
+    # the floors are checked only at construction; a NaN floor written later
+    # once gave rho NaN on the ShortfallSum worst-case branch
+    x = small_risk_vector
+    floors = np.array([-0.5, 0.0])
+    cls = FloorConstrained(floors)
+    lam = ShortfallSum(np.zeros(2))
+    expected = numeric_rho(x, cls, lam, WorstCase())
+    with pytest.raises(AttributeError):
+        cls.floors = np.array([np.nan, 0.0])
+    with pytest.raises(ValueError, match="read-only"):
+        cls.floors[0] = np.nan
+    floors[:] = np.nan
+    res = numeric_rho(x, cls, lam, WorstCase())
+    np.testing.assert_array_equal(cls.floors, [-0.5, 0.0])
+    assert res.rho == expected.rho
+    assert np.array_equal(res.allocation, expected.allocation)
+
+
 # ---------------------------------------------------------------------------
 # exact linear branch
 

@@ -57,6 +57,9 @@ def test_homogeneous_fast_lending_pools_balances():
     assert homogeneous_variance(1e8, sigma, rho, n, t) == pytest.approx(
         pooled, rel=1e-6
     )
+    # p = inf is the limit itself, also at t = 0, where p * t alone would be NaN
+    assert homogeneous_variance(math.inf, sigma, rho, n, t) == pytest.approx(pooled, rel=1e-14)
+    assert homogeneous_variance(math.inf, sigma, rho, n, 0.0) == 0.0
 
 
 def test_homogeneous_interpolates_monotonically():
@@ -339,12 +342,34 @@ _NAN_DOMAIN_CALLS = {   # name: (call on a 3-bank model, its domain message)
     "heterogeneous-t": (lambda m: heterogeneous_covariance(m, math.nan), "t must be positive"),
     "simulate-t": (lambda m: simulate_paths(m, math.nan, paths=10, steps=5, seed=0),
                    "t must be positive"),
+    "homogeneous-t-inf": (lambda m: homogeneous_variance(1.0, 1.0, 0.4, 3, math.inf),
+                          "t finite"),
+    "homogeneous-sigma": (lambda m: homogeneous_variance(1.0, math.nan, 0.4, 3, 1.0),
+                          "sigma and rho must be finite"),
+    "homogeneous-rho": (lambda m: homogeneous_variance(1.0, 1.0, math.nan, 3, 1.0),
+                        "sigma and rho must be finite"),
+    "central-p-inf": (lambda m: central_clearing_moments(math.inf, 1.0, 1.0, 0.4, 0.4, 3, 1.0),
+                      "both finite"),
+    "central-t-inf": (lambda m: central_clearing_moments(1.0, 1.0, 1.0, 0.4, 0.4, 3, math.inf),
+                      "both finite"),
+    "central-sigma": (lambda m: central_clearing_moments(1.0, math.nan, 1.0, 0.4, 0.4, 3, 1.0),
+                      "sigma, sigma_c, rho and rho_c must be finite"),
+    "central-sigma_c": (lambda m: central_clearing_moments(1.0, 1.0, math.nan, 0.4, 0.4, 3, 1.0),
+                        "sigma, sigma_c, rho and rho_c must be finite"),
+    "central-rho": (lambda m: central_clearing_moments(1.0, 1.0, 1.0, math.nan, 0.4, 3, 1.0),
+                    "sigma, sigma_c, rho and rho_c must be finite"),
+    "central-rho_c": (lambda m: central_clearing_moments(1.0, 1.0, 1.0, 0.4, math.nan, 3, 1.0),
+                      "sigma, sigma_c, rho and rho_c must be finite"),
+    "heterogeneous-t-inf": (lambda m: heterogeneous_covariance(m, math.inf),
+                            "t must be positive and finite"),
+    "simulate-t-inf": (lambda m: simulate_paths(m, math.inf, paths=10, steps=5, seed=0),
+                       "t must be positive and finite"),
 }
 
 
 @pytest.mark.parametrize("call", sorted(_NAN_DOMAIN_CALLS))
 def test_nan_rates_and_horizons_are_rejected(call):
-    """Each once returned NaN moments, or failed only inside GaussianSystem."""
+    """Each once returned NaN or inf moments, or failed only inside GaussianSystem."""
     model = NetworkModel(0.5 * (np.ones((3, 3)) - np.eye(3)), np.ones(3), np.zeros(3), np.zeros(3))
     run, msg = _NAN_DOMAIN_CALLS[call]
     with pytest.raises(ValueError, match=msg):
