@@ -44,7 +44,6 @@ from .core import (
     ShortfallSum,
     Sum,
     WorstCase,
-    expected_shortfall,
 )
 from .finite_alloc import solve_grouped
 from .gaussian_det import optimal_deterministic
@@ -116,14 +115,7 @@ def load_input(path: str) -> dict:
 # TypeError or ValueError of a malformed value, as a configuration error.
 
 def _risk_vector(data: dict) -> RiskVector:
-    space = ScenarioSpace(np.asarray(data["probabilities"], dtype=float))
-    return RiskVector(space, np.asarray(data["positions"], dtype=float))
-
-
-def _gaussian_system(data: dict) -> GaussianSystem:
-    return GaussianSystem(
-        np.asarray(data["mu"], dtype=float), np.asarray(data["cov"], dtype=float)
-    )
+    return RiskVector(ScenarioSpace(data["probabilities"]), data["positions"])
 
 
 def _gamma(data: dict, args) -> float:
@@ -147,7 +139,8 @@ def _floors(values) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def run_gaussian_det(data: dict, args) -> list[list]:
-    sol = optimal_deterministic(_gaussian_system(data), _gamma(data, args), data.get("d"))
+    system = GaussianSystem(data["mu"], data["cov"])
+    sol = optimal_deterministic(system, _gamma(data, args), data.get("d"))
     rows = _indexed("m", sol.m)
     rows += [["rho", "", sol.rho], ["r_star", "", sol.r_star],
              ["residual", "", sol.residual]]
@@ -155,7 +148,7 @@ def run_gaussian_det(data: dict, args) -> list[list]:
 
 
 def _two_state_problem(data: dict, args) -> tuple:
-    return (_gaussian_system(data), _gamma(data, args), data.get("d"),
+    return (GaussianSystem(data["mu"], data["cov"]), _gamma(data, args), data.get("d"),
             float(data.get("trigger", 0.0)))
 
 
@@ -208,19 +201,14 @@ def run_worst_case(data: dict, args) -> list[list]:
 
 def run_es(data: dict, args) -> list[list]:
     x = _risk_vector(data)
-    level, d = args.level, data.get("d")
-    z = ShortfallSum(np.zeros(x.n) if d is None else d).per_scenario(x.positions)
-    return [
-        ["es_aggregate", "", expected_shortfall(z, x.space.probabilities, level)],
-        ["rho_ag", "", rho_ag(x, ExpectedShortfall(level), d)],
-        ["level", "", level],
-    ]
+    # under ES acceptance, rho_ag is the ES of the aggregated shortfall outcome
+    es = rho_ag(x, ExpectedShortfall(args.level), data.get("d"))
+    return [["es_aggregate", "", es], ["rho_ag", "", es], ["level", "", args.level]]
 
 
 def run_finite(data: dict, args) -> list[list]:
     x = _risk_vector(data)
-    alphas = np.asarray(data["alphas"], dtype=float)
-    sol = solve_grouped(x, alphas, _gamma(data, args), data["partition"])
+    sol = solve_grouped(x, data["alphas"], _gamma(data, args), data["partition"])
     rows = [
         ["group_constant", "{" + ",".join(str(i) for i in block) + "}", c]
         for block, c in zip(sol.partition, sol.group_constants)
@@ -231,12 +219,7 @@ def run_finite(data: dict, args) -> list[list]:
 
 
 def run_ou(data: dict, args) -> list[list]:
-    model = NetworkModel(
-        np.asarray(data["rates"], dtype=float),
-        np.asarray(data["sigma"], dtype=float),
-        np.asarray(data["rho_common"], dtype=float),
-        np.asarray(data["x0"], dtype=float),
-    )
+    model = NetworkModel(data["rates"], data["sigma"], data["rho_common"], data["x0"])
     t = float(data["t"])
     system = heterogeneous_covariance(model, t)
     rows = _indexed("mean", system.mu)
@@ -259,17 +242,13 @@ def _parse_aggregation(spec: dict):
     if kind == "sum":
         return Sum()
     if kind == "shortfall-sum":
-        return ShortfallSum(np.asarray(spec["d"], dtype=float))
+        return ShortfallSum(spec["d"])
     if kind == "exponential":
-        return ExponentialLoss(np.asarray(spec["alpha"], dtype=float))
+        return ExponentialLoss(spec["alpha"])
     if kind == "gain-loss":
-        return GainLossWeighted(
-            np.asarray(spec["alpha"], dtype=float),
-            np.asarray(spec["beta"], dtype=float),
-            np.asarray(spec["v"], dtype=float),
-        )
+        return GainLossWeighted(spec["alpha"], spec["beta"], spec["v"])
     if kind == "eisenberg-noe":
-        return EisenbergNoe(np.asarray(spec["pi"], dtype=float))
+        return EisenbergNoe(spec["pi"])
     raise ConfigError(f"unknown aggregation type {kind!r}")
 
 
@@ -284,7 +263,7 @@ def _parse_class(spec: dict):
     if kind == "grouped":
         return Grouped(tuple(tuple(b) for b in spec["partition"]))
     if kind == "two-state":
-        return TwoStateParametric(np.asarray(spec["indicator"], dtype=float))
+        return TwoStateParametric(spec["indicator"])
     raise ConfigError(f"unknown allocation class {kind!r}")
 
 

@@ -22,11 +22,11 @@ from .core import (
     AcceptanceCriterion,
     ExpectedShortfall,
     RiskVector,
-    ShortfallSum,
     WorstCase,
     critical_levels,
     expected_shortfall,
     floor_levels,
+    shortfall_outcome,
 )
 
 
@@ -41,8 +41,7 @@ def rho_ag(
     is the largest scenario shortfall; for ES acceptance it is the ES of the
     aggregated outcome.
     """
-    d = critical_levels(d, x.n)
-    z = ShortfallSum(d).per_scenario(x.positions)
+    z = shortfall_outcome(x.positions, critical_levels(d, x.n))
     if isinstance(criterion, WorstCase):
         return float(-z.min())
     if isinstance(criterion, ExpectedShortfall):

@@ -56,6 +56,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def budget(gamma) -> float:
+    """Acceptance budget gamma as a float: finite and > 0."""
+    if not 0.0 < gamma < np.inf:             # NaN fails this too
+        raise ValueError("gamma must be positive and finite")
+    return float(gamma)
+
+
 def critical_levels(d, n: int) -> np.ndarray:
     """Critical levels d as floats: zeros when None, else one finite entry per institution."""
     if d is None:
@@ -76,6 +83,14 @@ def exponential_coefficients(alpha) -> np.ndarray:
     return a
 
 
+def factor_loadings(rho) -> np.ndarray:
+    """Common-factor loadings rho as floats, of any shape: each entry in [-1, 1]."""
+    r = np.asarray(rho, dtype=float)
+    if not np.all(np.abs(r) <= 1.0):         # NaN fails this too
+        raise ValueError("factor loadings must lie in [-1, 1], not NaN")
+    return r
+
+
 def floor_levels(floors, n: int | None = None) -> np.ndarray:
     """Floors gamma as floats: a vector (of n entries, when n is given), each <= 0, -inf for none."""
     g = np.asarray(floors, dtype=float)
@@ -84,6 +99,30 @@ def floor_levels(floors, n: int | None = None) -> np.ndarray:
     if not np.all(g <= 0.0):                 # NaN fails this too
         raise ValueError("floors must be <= 0 (-inf for none), not NaN")
     return g
+
+
+def liability_matrix(pi) -> np.ndarray:
+    """Liability shares pi as floats: square, finite, >= 0, row sums <= 1, spectral radius < 1."""
+    p = _as_float_array(pi, "pi", 2)
+    if p.shape[0] != p.shape[1]:
+        raise ValueError("pi must be square")
+    if np.any(p < 0.0) or np.any(p.sum(axis=1) > 1.0 + PROB_TOL):   # substochastic
+        raise ValueError("pi must be nonnegative and its rows sum to at most 1")
+    if spectral_radius(p) >= 1.0:
+        raise ValueError("spectral radius of pi must be < 1")
+    return p
+
+
+def shortfall_outcome(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per-scenario sum of shortfalls sum_i min(x_i - d_i, 0) of an N x M matrix x."""
+    return np.minimum(x - d[:, None], 0.0).sum(axis=0)
+
+
+def tail_level(level) -> float:
+    """Expected-shortfall tail level as a float: in (0, 1)."""
+    if not 0.0 < level < 1.0:                # NaN fails this too
+        raise ValueError("tail level must lie in (0, 1)")
+    return float(level)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +241,7 @@ class ShortfallSum:
         object.__setattr__(self, "d", _read_only(_as_float_array(self.d, "d", 1)))
 
     def per_scenario(self, x: np.ndarray) -> np.ndarray:
-        short = np.minimum(x - self.d[:, None], 0.0)
-        return short.sum(axis=0)
+        return shortfall_outcome(x, self.d)
 
 
 @dataclass(eq=False, frozen=True)
@@ -273,16 +311,7 @@ class EisenbergNoe:
     pi: np.ndarray
 
     def __post_init__(self):
-        p = _as_float_array(self.pi, "pi", 2)
-        if p.shape[0] != p.shape[1]:
-            raise ValueError("pi must be square")
-        if np.any(p < 0.0):
-            raise ValueError("pi must be nonnegative")
-        if np.any(p.sum(axis=1) > 1.0 + PROB_TOL):
-            raise ValueError("rows of pi must sum to at most 1")
-        if spectral_radius(p) >= 1.0:
-            raise ValueError("spectral radius of pi must be < 1")
-        object.__setattr__(self, "pi", _read_only(p))
+        object.__setattr__(self, "pi", _read_only(liability_matrix(self.pi)))
 
     def per_scenario(self, x: np.ndarray) -> np.ndarray:
         return -_clear(self.pi, -x).sum(axis=0)
@@ -304,7 +333,8 @@ def clearing_vector(pi: np.ndarray, x) -> np.ndarray:
 
     x holds the institutions' net outside losses (positive = owes money), as
     an N-vector or as an N x M matrix of M scenarios cleared independently;
-    y has the shape of x.  pi must be nonnegative with spectral radius < 1.
+    y has the shape of x.  pi must pass ``liability_matrix`` (square, finite,
+    >= 0, row sums <= 1, spectral radius < 1); EisenbergNoe checks it once.
 
     Fictitious default (Eisenberg & Noe 2001): from a defaulting set A, solve
     (I - pi_AA) y_A = x_A with y = 0 off A, and add every institution whose
@@ -324,15 +354,11 @@ def clearing_vector(pi: np.ndarray, x) -> np.ndarray:
     ascending order, at most _CLEARING_BATCH blocks per batched solve.  So
     each scenario's y_A has the bits of one np.linalg.solve of that block
     alone, with no padding to N x N.  Non-finite losses raise ValueError.
-    pi is checked here once; EisenbergNoe checks it at construction instead.
     """
-    pi = np.asarray(pi, dtype=float)
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("x must be an N-vector or an N x M matrix")
-    if np.any(pi < 0.0) or spectral_radius(pi) >= 1.0:
-        raise ValueError("clearing needs a nonnegative pi with spectral radius < 1")
-    return _clear(pi, x.reshape(x.shape[0], -1)).reshape(x.shape)
+    return _clear(liability_matrix(pi), x.reshape(x.shape[0], -1)).reshape(x.shape)
 
 
 def _clear(pi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -414,8 +440,7 @@ class ExpectedShortfall:
     level: float = DEFAULT_ES_LEVEL
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("tail level must lie in (0, 1)")
+        tail_level(self.level)
 
 
 AcceptanceCriterion = ExpectationFloor | WorstCase | ExpectedShortfall
@@ -435,8 +460,7 @@ def expected_shortfall(z, probabilities, level: float = DEFAULT_ES_LEVEL) -> flo
     p = np.asarray(probabilities, dtype=float)
     if z.shape != p.shape or z.ndim != 1:
         raise ValueError("z and probabilities must be 1-d of equal length")
-    if not 0.0 < level < 1.0:
-        raise ValueError("tail level must lie in (0, 1)")
+    level = tail_level(level)
     order = np.argsort(z, kind="stable")
     zs, ps = z[order], p[order]
     cum = np.cumsum(ps)

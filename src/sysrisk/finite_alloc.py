@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import RiskVector, exponential_coefficients
+from .core import RiskVector, budget, exponential_coefficients
 
 # Enumeration is refused beyond this.  A sweep keeps all Bell(n) entries: on a
 # 2-vCPU Xeon, n = 9 gives 21,147 entries in about 0.13 s (9 MiB tracemalloc
@@ -97,7 +97,7 @@ def solve_grouped(
     x: RiskVector, alphas, gamma: float, partition: Sequence[Sequence[int]]
 ) -> GroupedSolution:
     """Closed-form optimal allocation for a given grouping of institutions."""
-    alphas, log_p, beta_n = _validated(x, alphas, gamma)
+    alphas, log_p, beta_n, gamma = _validated(x, alphas, gamma)
     part = normalize_partition(partition, x.n)
     log_mu = np.empty_like(x.positions)
     constants = np.empty(len(part))
@@ -117,14 +117,12 @@ def solve_grouped(
     )
 
 
-def _validated(x: RiskVector, alphas, gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Checked alphas (core.exponential_coefficients), log scenario probabilities and beta_N."""
+def _validated(x: RiskVector, alphas, gamma: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Checked alphas, log scenario probabilities, beta_N and checked gamma (``core.budget``)."""
     alphas = exponential_coefficients(alphas)
     if alphas.shape != (x.n,):
         raise ValueError("alphas must have one entry per institution")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
-    return alphas, np.log(x.space.probabilities), float((1.0 / alphas).sum())
+    return alphas, np.log(x.space.probabilities), float((1.0 / alphas).sum()), budget(gamma)
 
 
 def _block(x, alphas, log_p, beta_n, gamma, group):
@@ -174,7 +172,7 @@ def group_sweep(x: RiskVector, alphas, gamma: float) -> list[SweepEntry]:
     the admissible set), so the first entry is the single pooled group and the
     last is all-singletons.  Ties are ordered by the partition itself.
     """
-    alphas, log_p, beta_n = _validated(x, alphas, gamma)
+    alphas, log_p, beta_n, gamma = _validated(x, alphas, gamma)
     block_constants: dict[tuple[int, ...], float] = {}
     entries = []
     for p in enumerate_partitions(x.n):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .core import ConvergenceError, GaussianSystem, critical_levels
+from .core import ConvergenceError, GaussianSystem, budget, critical_levels
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 RESIDUAL_TOL = 1e-9   # |sum_i psi_i(m_i) - gamma| / max(1, gamma) at the solution
@@ -110,8 +110,7 @@ def optimal_deterministic(
     system: GaussianSystem, gamma: float, d=None
 ) -> DeterministicSolution:
     """Cheapest deterministic allocation meeting the expected-shortfall budget."""
-    if not 0.0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    gamma = budget(gamma)
     sigma = system.sigma
     d = critical_levels(d, system.n)
     r = solve_r(gamma / float(sigma.sum()))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .core import GaussianSystem, _as_float_array
+from .core import GaussianSystem, _as_float_array, factor_loadings
 
 
 @dataclass(eq=False)
@@ -54,14 +54,12 @@ class NetworkModel:
         if np.any(np.abs(np.diag(p)) > 0.0):
             raise ValueError("rates must have zero diagonal")
         sigma = _as_float_array(self.sigma, "sigma", 1)
-        rho = _as_float_array(self.rho_common, "rho_common", 1)
+        rho = _as_float_array(factor_loadings(self.rho_common), "rho_common", 1)
         x0 = _as_float_array(self.x0, "x0", 1)
         if not (sigma.size == rho.size == x0.size == n):
             raise ValueError("sigma, rho_common, x0 must match the network size")
         if np.any(sigma < 0.0):
             raise ValueError("sigma must be nonnegative")
-        if np.any(np.abs(rho) > 1.0):
-            raise ValueError("rho_common must lie in [-1, 1]")
         self.rates, self.sigma, self.rho_common, self.x0 = p, sigma, rho, x0
 
     @property
@@ -86,14 +84,16 @@ def homogeneous_variance(p: float, sigma: float, rho: float, n: int, t: float) -
     average (the pairwise rate times N), so the formula has a continuous
     p -> 0 limit sigma^2 t and the p -> infinity limit
     sigma^2 (rho^2 + (1-rho^2)/N) t: fast lending pools all idiosyncratic
-    noise, the common factor cannot be diversified.
+    noise, the common factor cannot be diversified.  rho must pass
+    ``core.factor_loadings`` ([-1, 1]): sigma^2 (1 - rho^2) is a variance.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (p >= 0.0 and 0.0 <= t < math.inf):   # NaN fails too; p = inf is the limit
         raise ValueError("p and t must be nonnegative, and t finite")
-    if not (math.isfinite(sigma) and math.isfinite(rho)):
-        raise ValueError("sigma and rho must be finite")
+    if not math.isfinite(sigma):
+        raise ValueError("sigma must be finite")
+    factor_loadings(rho)
     idio = sigma**2 * (1.0 - rho**2)
     pooled = sigma**2 * (rho**2 + (1.0 - rho**2) / n)
     relax = t if p == 0.0 or t == 0.0 else -math.expm1(-2.0 * p * t) / (2.0 * p)
@@ -151,14 +151,16 @@ def central_clearing_moments(
     rho^2 t at leading order, plus a 1/N correction combining the pooled
     cross terms (lin * t) with the quasi-static response lin_c/(2p) of the
     fast tracking loop.  (The exact identity v - chi = sigma^2 (1-rho^2)
-    relax holds at every N.)
+    relax holds at every N.)  rho and rho_c must pass ``core.factor_loadings``
+    ([-1, 1]); outside it the moments are those of no Gaussian.
     """
     if n < 2:
         raise ValueError("need n >= 2: the center and at least one periphery bank")
     if not (0.0 < p < math.inf and 0.0 <= t < math.inf):   # NaN fails too
         raise ValueError("p must be positive and t nonnegative, both finite")
-    if not all(map(math.isfinite, (sigma, sigma_c, rho, rho_c))):
-        raise ValueError("sigma, sigma_c, rho and rho_c must be finite")
+    if not (math.isfinite(sigma) and math.isfinite(sigma_c)):
+        raise ValueError("sigma and sigma_c must be finite")
+    factor_loadings((rho, rho_c))
     a = np.array(
         [
             [-2.0, 0.0, 2.0, 0.0],
@@ -229,7 +231,7 @@ _CHUNK = 65_536   # paths per Philox stream keyed [seed, chunk]; changing it cha
 def simulate_paths(
     model: NetworkModel, t: float, paths: int, steps: int, seed: int
 ) -> SampleMoments:
-    """Euler-Maruyama sample moments of X(t).
+    """Euler-Maruyama sample moments of X(t), from paths >= 2 and steps >= 1.
 
     Counter-based RNG: path chunk c draws from Philox(key=[seed, c]), so the
     chunk key fixes the stream and the sample is reproducible bit for bit.
@@ -237,8 +239,8 @@ def simulate_paths(
     positions, z the path's n + 1 normals (common factor, then one per
     institution) and B = sqrt(dt) [sigma o rho ; diag(sigma o sqrt(1 - rho^2))].
     """
-    if paths < 1 or steps < 1:
-        raise ValueError("paths and steps must be positive")
+    if paths < 2 or steps < 1:
+        raise ValueError("need paths >= 2 and steps >= 1")
     if not 0.0 < t < math.inf:               # NaN fails too
         raise ValueError("t must be positive and finite")
     n = model.n
@@ -287,8 +289,7 @@ def three_bank_example(
     bank 1.  With sigma^2 t = 1 and rho = 0.8 the pair variance is 3.28.
     The returned system holds (X1, X2 + X3).
     """
-    if abs(rho) > 1.0 or abs(rho1) > 1.0:
-        raise ValueError("factor loadings must lie in [-1, 1]")
+    factor_loadings((rho1, rho))
     var1 = sigma_sq_t
     var_pair = 2.0 * sigma_sq_t * (1.0 + rho**2)
     cov = 2.0 * rho * rho1 * sigma_sq_t

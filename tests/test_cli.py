@@ -465,8 +465,11 @@ OU_INPUT = {
         ("finite", {"probabilities": [1.0], "positions": [[1.0]], "alphas": [0.3],
                     "partition": [[0]]}, []),
         ("gaussian-scen", {"mu": [0.0, 0.0], "gamma": 0.7}, ["--sweep", "correlation:0:0.5:0.5"]),
+        # one path once ended in a ZeroDivisionError traceback from its standard errors
+        ("ou", dict(OU_INPUT, t=1.0, paths=1, steps=5), []),
     ],
-    ids=["null-b", "null-t", "int-partition", "missing-gamma", "correlation-sweep-without-cov"],
+    ids=["null-b", "null-t", "int-partition", "missing-gamma", "correlation-sweep-without-cov",
+         "one-path"],
 )
 def test_malformed_input_is_a_configuration_error(tmp_path, capsys, solver, payload, extra):
     src = write_json(tmp_path, "model.json", payload)

@@ -27,11 +27,14 @@ from sysrisk.core import (
     allocation_price,
     clearing_vector,
     critical_levels,
+    expected_shortfall,
     floor_levels,
     is_acceptable,
     rank_by_expected_allocation,
     spectral_radius,
 )
+from sysrisk.finite_alloc import group_sweep, solve_grouped
+from sysrisk.gaussian_det import optimal_deterministic
 from clearing_reference import active_set_clearing
 
 
@@ -333,6 +336,54 @@ def test_spectral_radius_of_periodic_matrix():
 def test_eisenberg_noe_rejects_super_stochastic_rows():
     with pytest.raises(ValueError, match="sum to at most 1"):
         EisenbergNoe(np.array([[0.0, 1.2], [0.0, 0.0]]))
+
+
+# One check per input rule: every entry point that takes the input refuses the
+# same values with the same message.  clearing_vector once checked only the
+# sign and the spectral radius of pi, so it cleared a row sum of 1.5, and a
+# non-square or NaN pi reached numpy.linalg, which raised under its own message.
+_PI_CALLS = {"EisenbergNoe": EisenbergNoe,
+             "clearing_vector": lambda pi: clearing_vector(pi, np.ones(2))}
+_BAD_PI = {   # name: (pi, message)
+    "row-sum-1.5": ([[0.0, 1.5], [0.05, 0.0]], "sum to at most 1"),   # spectral radius 0.27
+    "non-square": (np.zeros((2, 3)), "pi must be square"),
+    "nan": ([[0.0, np.nan], [0.1, 0.0]], "pi contains non-finite entries"),
+}
+_TWO_BANKS = RiskVector(ScenarioSpace(np.array([0.5, 0.5])), np.array([[1.0, -4.0], [2.0, -3.0]]))
+_GAMMA_CALLS = {
+    "solve_grouped": lambda g: solve_grouped(_TWO_BANKS, [0.3, 0.3], g, [[0, 1]]),
+    "group_sweep": lambda g: group_sweep(_TWO_BANKS, [0.3, 0.3], g),
+    "optimal_deterministic": lambda g: optimal_deterministic(
+        GaussianSystem(np.zeros(2), np.eye(2)), g),
+}
+_LEVEL_CALLS = {"ExpectedShortfall": ExpectedShortfall,
+                "expected_shortfall": lambda q: expected_shortfall([1.0, -1.0], [0.5, 0.5], q)}
+_RULE_CALLS = {   # case: (call, its rule's message)
+    **{f"{entry}-pi-{name}": (lambda call=call, pi=pi: call(pi), msg)
+       for entry, call in _PI_CALLS.items() for name, (pi, msg) in _BAD_PI.items()},
+    **{f"{entry}-gamma={g:g}": (lambda call=call, g=g: call(g), "gamma must be positive and finite")
+       for entry, call in _GAMMA_CALLS.items() for g in (0.0, -1.0, np.nan, np.inf)},
+    **{f"{entry}-level={q:g}": (lambda call=call, q=q: call(q), "tail level must lie in")
+       for entry, call in _LEVEL_CALLS.items() for q in (0.0, 1.0, -0.1, 1.5, np.nan)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RULE_CALLS))
+def test_each_entry_point_refuses_a_rule_breach_alike(case):
+    call, msg = _RULE_CALLS[case]
+    with pytest.raises(ValueError, match=msg):
+        call()
+
+
+def test_each_rule_message_is_written_once():
+    """The rules of core.budget, factor_loadings, liability_matrix and
+    tail_level live there alone: no module keeps a copy of their messages."""
+    text = "".join(p.read_text(encoding="utf-8") for p in Path(core.__file__).parent.glob("*.py"))
+    for msg in ('"gamma must be positive and finite"', '"tail level must lie in (0, 1)"',
+                '"factor loadings must lie in [-1, 1], not NaN"',
+                '"pi must be nonnegative and its rows sum to at most 1"',
+                '"spectral radius of pi must be < 1"'):
+        assert text.count(msg) == 1, msg
 
 
 def test_eisenberg_noe_checks_pi_only_at_construction(monkeypatch):

@@ -330,6 +330,7 @@ def test_simulation_records_its_shape():
 # model validation
 
 
+_LOADINGS = "factor loadings must lie in"
 _NAN_DOMAIN_CALLS = {   # name: (call on a 3-bank model, its domain message)
     "homogeneous-p": (lambda m: homogeneous_variance(math.nan, 1.0, 0.4, 3, 1.0),
                       "p and t must be nonnegative"),
@@ -345,31 +346,54 @@ _NAN_DOMAIN_CALLS = {   # name: (call on a 3-bank model, its domain message)
     "homogeneous-t-inf": (lambda m: homogeneous_variance(1.0, 1.0, 0.4, 3, math.inf),
                           "t finite"),
     "homogeneous-sigma": (lambda m: homogeneous_variance(1.0, math.nan, 0.4, 3, 1.0),
-                          "sigma and rho must be finite"),
+                          "sigma must be finite"),
     "homogeneous-rho": (lambda m: homogeneous_variance(1.0, 1.0, math.nan, 3, 1.0),
-                        "sigma and rho must be finite"),
+                        _LOADINGS),
     "central-p-inf": (lambda m: central_clearing_moments(math.inf, 1.0, 1.0, 0.4, 0.4, 3, 1.0),
                       "both finite"),
     "central-t-inf": (lambda m: central_clearing_moments(1.0, 1.0, 1.0, 0.4, 0.4, 3, math.inf),
                       "both finite"),
     "central-sigma": (lambda m: central_clearing_moments(1.0, math.nan, 1.0, 0.4, 0.4, 3, 1.0),
-                      "sigma, sigma_c, rho and rho_c must be finite"),
+                      "sigma and sigma_c must be finite"),
     "central-sigma_c": (lambda m: central_clearing_moments(1.0, 1.0, math.nan, 0.4, 0.4, 3, 1.0),
-                        "sigma, sigma_c, rho and rho_c must be finite"),
+                        "sigma and sigma_c must be finite"),
     "central-rho": (lambda m: central_clearing_moments(1.0, 1.0, 1.0, math.nan, 0.4, 3, 1.0),
-                    "sigma, sigma_c, rho and rho_c must be finite"),
+                    _LOADINGS),
     "central-rho_c": (lambda m: central_clearing_moments(1.0, 1.0, 1.0, 0.4, math.nan, 3, 1.0),
-                      "sigma, sigma_c, rho and rho_c must be finite"),
+                      _LOADINGS),
     "heterogeneous-t-inf": (lambda m: heterogeneous_covariance(m, math.inf),
                             "t must be positive and finite"),
     "simulate-t-inf": (lambda m: simulate_paths(m, math.inf, paths=10, steps=5, seed=0),
                        "t must be positive and finite"),
+    # one path once gave a NaN covariance, and the CLI a ZeroDivisionError
+    "simulate-one-path": (lambda m: simulate_paths(m, 1.0, paths=1, steps=5, seed=0),
+                          "paths >= 2"),
 }
+# Every entry point that takes a factor loading refuses the same values, NaN
+# included, with core.factor_loadings' message.  |rho| > 1 once gave moments
+# of no Gaussian (homogeneous_variance, central_clearing_moments), and a NaN
+# loading failed only inside GaussianSystem (three_bank_example).
+_LOADING_CALLS = {
+    "network": lambda m, r: NetworkModel(m.rates, m.sigma, [0.4, r, 0.4], m.x0),
+    "three-bank-rho1": lambda m, r: three_bank_example(r),
+    "three-bank-rho": lambda m, r: three_bank_example(0.25, rho=r),
+    "homogeneous-rho": lambda m, r: homogeneous_variance(1.0, 1.0, r, 3, 1.0),
+    "central-rho": lambda m, r: central_clearing_moments(1.0, 1.0, 1.0, r, 0.4, 3, 1.0),
+    "central-rho_c": lambda m, r: central_clearing_moments(1.0, 1.0, 1.0, 0.4, r, 3, 1.0),
+}
+_NAN_DOMAIN_CALLS.update({
+    f"{name}={bad:g}": (lambda m, call=call, bad=bad: call(m, bad), _LOADINGS)
+    for name, call in _LOADING_CALLS.items()
+    for bad in (1.5, -2.0, 3.0, math.nan)
+    if not (math.isnan(bad) and name in _NAN_DOMAIN_CALLS)   # NaN already in the table
+})
 
 
 @pytest.mark.parametrize("call", sorted(_NAN_DOMAIN_CALLS))
 def test_nan_rates_and_horizons_are_rejected(call):
-    """Each once returned NaN or inf moments, or failed only inside GaussianSystem."""
+    """Each call once returned NaN or inf moments or moments of no Gaussian,
+    failed only inside GaussianSystem, or refused its input under another
+    message (see the comments at the table)."""
     model = NetworkModel(0.5 * (np.ones((3, 3)) - np.eye(3)), np.ones(3), np.zeros(3), np.zeros(3))
     run, msg = _NAN_DOMAIN_CALLS[call]
     with pytest.raises(ValueError, match=msg):
